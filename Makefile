@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet lint race bench bench-hot cover fuzz-smoke
+.PHONY: build test check vet lint race bench-check bench bench-hot cover fuzz-smoke
 
 # Coverage floor enforced by `make cover` and the CI coverage job.
 # Measured at the observability PR; raise when coverage rises, never
@@ -49,7 +49,16 @@ lint:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-check: build vet lint race
+# bench-check keeps the benchmark driver's input honest: bench/ compiles
+# against internal packages, so a refactor can break its build or its live
+# correctness checks (sent == received, tap == Stats, replicas bit-identical)
+# without any other test noticing. The tests are hermetic; the smoke run
+# uses only loopback sockets and writes under the git-ignored bench/out/.
+bench-check:
+	$(GO) test ./bench/...
+	$(GO) run ./bench/aflperf -smoke
+
+check: build vet lint race bench-check
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

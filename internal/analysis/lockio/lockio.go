@@ -11,7 +11,9 @@
 //   - sends, receives, and ranges on channels this package provably
 //     creates unbuffered (make(chan T) with no or zero capacity);
 //   - Filter invocations (the full filter pass is O(buffer · dim) and
-//     must not run under the connection-facing lock);
+//     must not run under the connection-facing lock), and Decide
+//     invocations: fl.Engine's decide step is where the servers' Filter
+//     and Combine calls now live, out of this package's sight;
 //   - calls to same-package functions that transitively do any of the
 //     above (the *Locked helper pattern).
 //
@@ -34,7 +36,7 @@ import (
 // Analyzer is the lockio check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockio",
-	Doc:  "flags blocking calls (conn I/O, gob, unbuffered channel ops, Filter) reachable while a sync mutex is held",
+	Doc:  "flags blocking calls (conn I/O, gob, unbuffered channel ops, Filter, the round's Decide) reachable while a sync mutex is held",
 	Run:  run,
 }
 
@@ -259,9 +261,11 @@ func (c *checker) blockingCall(call *ast.CallExpr, transitive bool) string {
 				return "gob " + name
 			}
 		}
-		// The filter pass is O(buffer · dim).
-		if name == "Filter" {
-			return fmt.Sprintf("Filter invocation on %q", exprText(sel.X))
+		// The filter pass is O(buffer · dim). A Filter method without
+		// arguments is an accessor (Engine.Filter, Server.Filter), not a
+		// pass.
+		if (name == "Filter" || name == "Decide") && len(call.Args) > 0 {
+			return fmt.Sprintf("%s invocation on %q", name, exprText(sel.X))
 		}
 	}
 

@@ -14,6 +14,15 @@ type filter struct{}
 
 func (filter) Filter(xs []float64) []float64 { return xs }
 
+// engine stands in for fl.Engine: Decide runs the filter and the combiner.
+type engine struct{}
+
+func (engine) Decide(xs []float64, version int) []float64 { return xs }
+
+func (engine) Commit(xs []float64) int { return len(xs) }
+
+func (engine) Filter() filter { return filter{} }
+
 type server struct {
 	mu     sync.Mutex
 	rw     sync.RWMutex
@@ -21,6 +30,7 @@ type server struct {
 	enc    *gob.Encoder
 	dec    *gob.Decoder
 	f      filter
+	e      engine
 	done   chan struct{}
 	reply  chan int
 	events chan int
@@ -55,6 +65,14 @@ func (s *server) filterUnderRLock(xs []float64) []float64 {
 	s.rw.RLock()
 	defer s.rw.RUnlock()
 	return s.f.Filter(xs) // want `Filter invocation on "s.f" while "s.rw" is held`
+}
+
+func (s *server) roundUnderLock(xs []float64) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	xs = s.e.Decide(xs, s.state) // want `Decide invocation on "s.e" while "s.mu" is held`
+	_ = s.e.Filter()             // an accessor, not a filter pass
+	return s.e.Commit(xs)        // the commit step belongs under the lock
 }
 
 func (s *server) chanUnderLock() {

@@ -29,8 +29,9 @@ var concurrencyScope = regexp.MustCompile(`/internal/(transport|topology|replica
 //     to touch math/rand);
 //   - vecalias in the packages that ingest client vectors (core, fl,
 //     transport);
-//   - lockio in internal/transport, the only package mixing locks with
-//     connection I/O;
+//   - lockio in internal/transport and internal/topology, the packages
+//     whose state locks sit next to connection I/O and the round's
+//     decide step;
 //   - lockorder, goroleak and netdeadline in the concurrency-bearing
 //     packages (transport, topology, replica);
 //   - epochfence wherever fenced epochs live (topology, replica) plus
@@ -50,7 +51,7 @@ func Default() []analysis.Scoped {
 		},
 		{
 			Analyzer: lockio.Analyzer,
-			Include:  []*regexp.Regexp{regexp.MustCompile(`/internal/transport$`)},
+			Include:  []*regexp.Regexp{regexp.MustCompile(`/internal/(transport|topology)$`)},
 		},
 		{
 			Analyzer: lockorder.Analyzer,

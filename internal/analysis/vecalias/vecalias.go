@@ -62,11 +62,11 @@ const OwnedDirective = "//afl:owned"
 // analysis, keyed by types.Func.FullName (doc comments are invisible
 // through export data).
 var crossOwned = map[string]bool{
-	"(*github.com/asyncfl/asyncfilter/internal/fl.Buffer).Add":       true,
-	"(*github.com/asyncfl/asyncfilter/internal/fl.Buffer).Requeue":   true,
-	"(*github.com/asyncfl/asyncfilter/internal/fl.Buffer).RequeueAt": true,
-	"(*github.com/asyncfl/asyncfilter/internal/fl.Arena).PutVec":     true,
-	"(*github.com/asyncfl/asyncfilter/internal/fl.Arena).PutUpdate":  true,
+	"(*github.com/asyncfl/asyncfilter/internal/fl.Buffer).Add":      true,
+	"(*github.com/asyncfl/asyncfilter/internal/fl.Buffer).Requeue":  true,
+	"(*github.com/asyncfl/asyncfilter/internal/fl.Engine).Commit":   true,
+	"(*github.com/asyncfl/asyncfilter/internal/fl.Arena).PutVec":    true,
+	"(*github.com/asyncfl/asyncfilter/internal/fl.Arena).PutUpdate": true,
 }
 
 // Analyzer is the vecalias check.

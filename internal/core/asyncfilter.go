@@ -562,12 +562,14 @@ func (f *AsyncFilter) applyAmnesty(updates []*fl.Update, decisions []fl.Decision
 // against: the group's own estimator when it has history, otherwise the
 // estimator of the nearest staleness group (model drift is smooth in
 // staleness, so a neighbouring group is a far better reference than the
-// whole batch), otherwise the pooled batch mean.
+// whole batch), otherwise the pooled batch mean. Two neighbours at the
+// same distance tie toward the lower (fresher) staleness, so the verdicts
+// do not depend on map iteration order.
 func (f *AsyncFilter) referenceMean(live map[int]estimator, k int, pooled *stats.VectorMA) []float64 {
 	if est := live[k]; est != nil && est.Count() >= 2 {
 		return est.Mean()
 	}
-	bestDist := -1
+	bestDist, bestK := -1, 0
 	var best estimator
 	for kk, est := range live {
 		if est.Count() < 2 {
@@ -577,8 +579,8 @@ func (f *AsyncFilter) referenceMean(live map[int]estimator, k int, pooled *stats
 		if d < 0 {
 			d = -d
 		}
-		if bestDist == -1 || d < bestDist {
-			bestDist = d
+		if bestDist == -1 || d < bestDist || (d == bestDist && kk < bestK) {
+			bestDist, bestK = d, kk
 			best = est
 		}
 	}

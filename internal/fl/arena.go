@@ -16,7 +16,7 @@ import (
 // GetUpdate) is owned by exactly one holder at a time. PutVec/PutUpdate
 // end that ownership; touching the memory afterwards is a bug, as is
 // returning the same vector twice. Recycling is best-effort — an update
-// that leaves the arena's sight (dropped by Buffer.RequeueAt, retained by
+// that leaves the arena's sight (dropped by Buffer.Requeue, retained by
 // a round-commit callback) is simply collected by the GC.
 //
 // All methods are safe for concurrent use.

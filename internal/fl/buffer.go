@@ -107,46 +107,22 @@ func (b *Buffer) Drain() []*Update {
 }
 
 // Requeue returns deferred updates to the buffer so they participate in the
-// next aggregation round. Their staleness is incremented to reflect the
-// extra round they waited; updates pushed past the staleness limit are
-// dropped and counted. Requeued updates may grow the buffer past the goal
-// but do not by themselves make it Ready. Ownership of every update in
-// the slice — requeued or dropped — transfers to the buffer: they came
-// from Drain, no client alias remains, and dropped ones go to the GC.
+// next aggregation round, one round older: each commit advances the model
+// version by one, so Staleness++ is version − BaseVersion wherever the
+// latter is defined, and it is the only rule that also holds at a root,
+// whose updates carry edge-local base versions. Updates pushed past the
+// staleness limit are dropped and counted; the number dropped is returned.
+// Requeued updates may grow the buffer past the goal but do not by
+// themselves make it Ready. Ownership of every update in the slice —
+// requeued or dropped — transfers to the buffer: they came from Drain, no
+// client alias remains, and dropped ones go to the GC (arena recycling is
+// deliberately best-effort on this cold path).
 //
 //afl:owned
-func (b *Buffer) Requeue(updates []*Update) {
-	requeued, stale := 0, 0
-	for _, u := range updates {
-		u.Staleness++
-		if b.stalenessLimit > 0 && u.Staleness > b.stalenessLimit {
-			b.droppedStale++
-			stale++
-			continue
-		}
-		b.updates = append(b.updates, u)
-		requeued++
-	}
-	if requeued > 0 || stale > 0 {
-		b.notify(BufferEvent{Requeued: requeued, DroppedStale: stale})
-	}
-}
-
-// RequeueAt returns deferred updates to the buffer with staleness
-// recomputed against the server's current model version (version -
-// BaseVersion), rather than incrementally aged. This keeps staleness
-// exact for updates deferred across several rounds, including partial
-// watchdog rounds. Updates past the staleness limit are dropped; the
-// number dropped is returned so callers can account for them. Like
-// Requeue, it never re-arms Ready by itself, and like Requeue it takes
-// ownership of every update in the slice (dropped ones go to the GC —
-// arena recycling is deliberately best-effort on this cold path).
-//
-//afl:owned
-func (b *Buffer) RequeueAt(updates []*Update, version int) (dropped int) {
+func (b *Buffer) Requeue(updates []*Update) (dropped int) {
 	requeued := 0
 	for _, u := range updates {
-		u.Staleness = version - u.BaseVersion
+		u.Staleness++
 		if b.stalenessLimit > 0 && u.Staleness > b.stalenessLimit {
 			b.droppedStale++
 			dropped++

@@ -316,7 +316,9 @@ func TestBufferNoLimit(t *testing.T) {
 
 func TestBufferRequeue(t *testing.T) {
 	b, _ := NewBuffer(3, 4)
-	b.Requeue([]*Update{{Staleness: 2}, {Staleness: 4}})
+	if n := b.Requeue([]*Update{{Staleness: 2}, {Staleness: 4}}); n != 1 {
+		t.Fatalf("Requeue reported %d dropped, want 1", n)
+	}
 	if b.Len() != 1 {
 		t.Fatalf("requeue kept %d updates, want 1 (the other crossed the limit)", b.Len())
 	}
@@ -327,31 +329,6 @@ func TestBufferRequeue(t *testing.T) {
 	_, dropped := b.Stats()
 	if dropped != 1 {
 		t.Errorf("dropped = %d, want 1", dropped)
-	}
-}
-
-func TestBufferRequeueAt(t *testing.T) {
-	b, _ := NewBuffer(3, 4)
-	// Version 5: an update trained from version 2 reads staleness 3
-	// regardless of whatever stale value it carried; one trained from
-	// version 0 crosses the limit and is dropped.
-	dropped := b.RequeueAt([]*Update{
-		{BaseVersion: 2, Staleness: 0},
-		{BaseVersion: 0, Staleness: 1},
-	}, 5)
-	if dropped != 1 {
-		t.Fatalf("RequeueAt dropped %d, want 1", dropped)
-	}
-	if b.Len() != 1 {
-		t.Fatalf("RequeueAt kept %d updates, want 1", b.Len())
-	}
-	u := b.Drain()[0]
-	if u.Staleness != 3 {
-		t.Errorf("requeued staleness = %d, want 3 (recomputed as version-base)", u.Staleness)
-	}
-	_, droppedStale := b.Stats()
-	if droppedStale != 1 {
-		t.Errorf("dropped counter = %d, want 1", droppedStale)
 	}
 }
 
@@ -465,17 +442,6 @@ func TestBufferRequeueDoesNotRearmReady(t *testing.T) {
 	b.Add(&Update{ClientID: 4})
 	if !b.Ready() {
 		t.Error("fresh arrival on a full buffer did not arm Ready")
-	}
-
-	// Same property for the drain-time-staleness variant.
-	b2, _ := NewBuffer(2, 0)
-	b2.RequeueAt([]*Update{{BaseVersion: 0}, {BaseVersion: 1}, {BaseVersion: 2}}, 3)
-	if b2.Ready() {
-		t.Error("RequeueAt alone re-armed Ready")
-	}
-	b2.Add(&Update{ClientID: 5})
-	if !b2.Ready() {
-		t.Error("fresh arrival after RequeueAt did not arm Ready")
 	}
 }
 

@@ -95,25 +95,6 @@ func TestBufferObserverDrainRequeueShed(t *testing.T) {
 	}
 }
 
-func TestBufferObserverRequeueAt(t *testing.T) {
-	b, err := NewBuffer(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recordingBufferObserver{}
-	b.SetObserver(rec)
-
-	updates := []*Update{mkUpdate(0, 0, 0), mkUpdate(1, 4, 0)}
-	dropped := b.RequeueAt(updates, 5)
-	if dropped != 1 {
-		t.Fatalf("dropped = %d, want 1 (staleness 5 > limit 3)", dropped)
-	}
-	ev := rec.last(t)
-	if ev.Requeued != 1 || ev.DroppedStale != 1 {
-		t.Fatalf("requeueAt event: %+v", ev)
-	}
-}
-
 func TestBufferObserverRestoreAndNilSafety(t *testing.T) {
 	b, err := NewBuffer(2, 0)
 	if err != nil {

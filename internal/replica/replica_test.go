@@ -193,12 +193,14 @@ func TestMirrorPromoteAndReconcile(t *testing.T) {
 			t.Fatalf("batch %d: nack=%v ack=%d", b, reply.Nack, reply.Ack)
 		}
 	}
+	// Wait on the counter asserted below: the apply loop bumps it after
+	// ApplyRecord has already advanced the version.
 	waitFor(t, 5*time.Second, "standby to mirror 3 records", func() bool {
-		return sRoot.Version() == 3
+		return sNode.Stats().RecordsApplied == 3
 	})
 	st := sNode.Stats()
-	if st.RecordsApplied != 3 {
-		t.Errorf("standby applied %d records, want 3", st.RecordsApplied)
+	if v := sRoot.Version(); v != 3 {
+		t.Errorf("standby at version %d after 3 records, want 3", v)
 	}
 	if st.SnapshotsInstalled != 0 {
 		t.Errorf("pure stream attach installed %d snapshots", st.SnapshotsInstalled)
@@ -466,13 +468,15 @@ func TestResurrectedPrimaryFencedByEdge(t *testing.T) {
 	if reply.Nack != transport.NackFenced {
 		t.Fatalf("resurrected primary answered %v, want NackFenced", reply.Nack)
 	}
-	if oldNode.Role() != RoleFenced {
-		t.Fatalf("resurrected primary role = %s, want fenced", oldNode.Role())
-	}
+	// The root replies first and fences itself second; Done fires once it
+	// has, so the role is read after that, not after the reply.
 	select {
 	case <-oldRoot.Done():
 	case <-time.After(2 * time.Second):
 		t.Fatal("fenced primary never fired Done")
+	}
+	if oldNode.Role() != RoleFenced {
+		t.Fatalf("resurrected primary role = %s, want fenced", oldNode.Role())
 	}
 	if rs := oldRoot.Stats(); rs.FencedNacks != 1 || rs.BatchesApplied != 0 {
 		t.Errorf("fenced primary stats: %+v", rs)

@@ -9,7 +9,6 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/fl"
 	"github.com/asyncfl/asyncfilter/internal/model"
 	"github.com/asyncfl/asyncfilter/internal/optim"
-	"github.com/asyncfl/asyncfilter/internal/vecmath"
 )
 
 // PresetModelAndTrainer returns the model architecture and trainer
@@ -49,7 +48,7 @@ func PresetModelAndTrainer(preset string, data dataset.SyntheticConfig) (model.C
 // Run executes the simulation to completion.
 func (s *Simulation) Run() (*Result, error) {
 	res := &Result{
-		FilterName: s.filter.Name(),
+		FilterName: s.engine.Filter().Name(),
 		AttackName: s.atk.Name(),
 	}
 
@@ -196,19 +195,22 @@ func (s *Simulation) aggregateRound(buffer *fl.Buffer, res *Result, now float64)
 		}
 	}
 
-	round := s.version + 1
-	fres, err := s.filter.Filter(updates, round)
-	if err != nil {
-		return fmt.Errorf("sim: filter: %w", err)
+	// A failing filter or combiner degrades a live server (see fl.Engine);
+	// in a simulation it invalidates the experiment, so it is fatal.
+	rd := s.engine.Decide(updates, s.version)
+	if rd.FilterErr != nil {
+		return fmt.Errorf("sim: filter: %w", rd.FilterErr)
 	}
-	accepted, deferred, rejected := fres.Split(updates)
-	res.Accepted += len(accepted)
-	res.Deferred += len(deferred)
-	res.Rejected += len(rejected)
+	if rd.CombineErr != nil {
+		return fmt.Errorf("sim: combine: %w", rd.CombineErr)
+	}
+	res.Accepted += len(rd.Accepted)
+	res.Deferred += len(rd.Deferred)
+	res.Rejected += len(rd.Rejected)
 	maliciousInBatch, maliciousCaught := 0, 0
 	for i, u := range updates {
 		malicious := s.clients[u.ClientID].malicious
-		flagged := fres.Decisions[i] == fl.Reject
+		flagged := rd.Result.Decisions[i] == fl.Reject
 		if malicious {
 			maliciousInBatch++
 			if flagged {
@@ -223,12 +225,12 @@ func (s *Simulation) aggregateRound(buffer *fl.Buffer, res *Result, now float64)
 			hist[u.Staleness]++
 		}
 		if err := s.writeTrace(s.cfg.TraceWriter, TraceRecord{
-			Round:              round,
+			Round:              rd.Number,
 			Time:               now,
 			BatchSize:          len(updates),
-			Accepted:           len(accepted),
-			Deferred:           len(deferred),
-			Rejected:           len(rejected),
+			Accepted:           len(rd.Accepted),
+			Deferred:           len(rd.Deferred),
+			Rejected:           len(rd.Rejected),
 			MaliciousInBatch:   maliciousInBatch,
 			MaliciousCaught:    maliciousCaught,
 			StalenessHistogram: hist,
@@ -237,35 +239,10 @@ func (s *Simulation) aggregateRound(buffer *fl.Buffer, res *Result, now float64)
 		}
 	}
 
-	if len(accepted) > 0 {
-		delta, err := s.combiner.Combine(accepted, s.cfg.Aggregator)
-		if err != nil {
-			return fmt.Errorf("sim: combine: %w", err)
-		}
-		lr := s.cfg.Aggregator.ServerLR
-		if vecmath.IsZero(lr) {
-			lr = 1
-		}
-		if s.combiner.Name() == "mean" {
-			// MeanCombiner already applied staleness/sample weighting and
-			// the server learning rate semantics of fl.Aggregate.
-			vecmath.Add(s.global, s.global, delta)
-		} else {
-			vecmath.AXPY(s.global, lr, delta)
-		}
-	}
-
-	// Advance the version even when nothing was accepted: the round
-	// happened, and staleness accounting depends on it.
-	s.version++
+	s.version = s.engine.Commit(&rd, s.global, buffer)
 	s.snapshots[s.version] = append([]float64(nil), s.global...)
 	s.pruneSnapshots()
-
-	buffer.Requeue(deferred)
-
-	if obs, ok := s.filter.(fl.RoundObserver); ok {
-		obs.ObserveRound(s.version, s.global, accepted)
-	}
+	s.engine.Observe(&rd)
 
 	if s.cfg.EvalEvery > 0 && s.version%s.cfg.EvalEvery == 0 && s.version < s.cfg.Rounds {
 		acc, loss := s.evaluate()

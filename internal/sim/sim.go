@@ -240,10 +240,9 @@ type client struct {
 // Simulation is a fully-constructed AFL run. Build with New, execute with
 // Run.
 type Simulation struct {
-	cfg      Config
-	filter   fl.Filter
-	combiner fl.Combiner
-	atk      attack.Attack
+	cfg    Config
+	engine *fl.Engine
+	atk    attack.Attack
 
 	clients   []*client
 	train     *dataset.Dataset
@@ -264,12 +263,6 @@ type Simulation struct {
 func New(cfg Config, filter fl.Filter, combiner fl.Combiner) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if filter == nil {
-		filter = fl.Passthrough{}
-	}
-	if combiner == nil {
-		combiner = fl.MeanCombiner{}
 	}
 	atk, err := attack.New(cfg.Attack)
 	if err != nil {
@@ -292,8 +285,7 @@ func New(cfg Config, filter fl.Filter, combiner fl.Combiner) (*Simulation, error
 	}
 	s := &Simulation{
 		cfg:       cfg,
-		filter:    filter,
-		combiner:  combiner,
+		engine:    fl.NewEngine(filter, combiner, cfg.Aggregator),
 		atk:       atk,
 		train:     train,
 		test:      test,

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/asyncfl/asyncfilter/internal/attack"
@@ -376,6 +378,36 @@ func (o *observingFilter) Filter(updates []*fl.Update, round int) (fl.FilterResu
 }
 func (o *observingFilter) ObserveRound(round int, global []float64, accepted []*fl.Update) {
 	o.observed++
+}
+
+// brokenFilter fails every round.
+type brokenFilter struct{ panics bool }
+
+func (brokenFilter) Name() string { return "broken" }
+func (b brokenFilter) Filter([]*fl.Update, int) (fl.FilterResult, error) {
+	if b.panics {
+		panic("broken filter")
+	}
+	return fl.FilterResult{}, errors.New("broken filter")
+}
+
+// TestFilterErrorIsFatal is the simulator's half of divergence (d) of the
+// round characterisation (transport/round_char_test.go): the engine's
+// accept-all fallback keeps a live server going, but a simulation whose
+// filter failed measures nothing, so Run reports it instead.
+func TestFilterErrorIsFatal(t *testing.T) {
+	for _, f := range []brokenFilter{{}, {panics: true}} {
+		s, err := New(tinyConfig(), f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "sim: filter") {
+			t.Errorf("panics=%v: Run returned %v, want a filter error", f.panics, err)
+		}
+		if s.Version() != 0 {
+			t.Errorf("panics=%v: the failed round was committed (version %d)", f.panics, s.Version())
+		}
+	}
 }
 
 func TestGlobalParamsCopy(t *testing.T) {

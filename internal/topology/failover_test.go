@@ -134,6 +134,19 @@ func startClients(t *testing.T, n, malicious int, addrs []string) ([]*transport.
 	return clients, wg.Wait
 }
 
+// pollUntil waits for cond, failing the test when it does not hold within
+// 15 seconds.
+func pollUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func waitRootVersion(t *testing.T, root *Root, v int, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
@@ -182,6 +195,32 @@ func TestTwoTierEdgeCrashFailover(t *testing.T) {
 	// Let the deployment make real progress through both edges, then
 	// crash edge 0 mid-round.
 	waitRootVersion(t, root, 3, 15*time.Second)
+
+	// An orphan can only re-home if its edge told it where else to go, so
+	// the crash waits until one of edge 0's clients holds the two-edge
+	// shard list: the root has published it, edge 0 has finished relaying
+	// it (two further acks mean the uplink goroutine has left the reply
+	// that carried it), and five more updates from four lockstep clients
+	// mean one of them has since been answered twice.
+	var mapVersion int
+	pollUntil(t, "both edges in the shard map", func() bool {
+		m := root.ShardMap()
+		mapVersion = m.Version
+		return len(m.Edges) == 2
+	})
+	pollUntil(t, "edge 0 to see the two-edge shard map", func() bool {
+		edge0.mu.Lock()
+		defer edge0.mu.Unlock()
+		return edge0.shardSeen >= mapVersion
+	})
+	acked := edge0.Stats().BatchesAcked
+	pollUntil(t, "edge 0 to finish relaying the shard map", func() bool {
+		return edge0.Stats().BatchesAcked >= acked+2
+	})
+	received := edge0.Server().Stats().UpdatesReceived
+	pollUntil(t, "an edge 0 client to receive the shard list", func() bool {
+		return edge0.Server().Stats().UpdatesReceived >= received+5
+	})
 	if err := edge0.Close(); err != nil {
 		t.Logf("edge 0 close: %v", err)
 	}
@@ -211,6 +250,13 @@ func TestTwoTierEdgeCrashFailover(t *testing.T) {
 	// The deployment converges through the survivor: the global version
 	// keeps advancing after failover.
 	waitRootVersion(t, root, root.Version()+5, 15*time.Second)
+
+	// The survivor's own four clients can carry the root those five
+	// versions before an orphan's retry back-off has expired, so wait for
+	// what is asserted below: an orphan saying Hello to the survivor.
+	pollUntil(t, "an orphaned client to reach the survivor", func() bool {
+		return edge1.Server().Stats().ClientsConnected > 4
+	})
 
 	// Shut the survivor down so the clients give up and exit; client
 	// counters are only safe to read after every client goroutine returns.

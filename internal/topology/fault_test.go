@@ -10,12 +10,10 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/transport"
 )
 
-// maliciousRejectRate computes, from decision trace records, the
-// fraction of updates submitted by malicious clients (ids below
-// `malicious`) that the filter rejected.
-func maliciousRejectRate(t *testing.T, hubs []*obsv.Hub, malicious int) float64 {
-	t.Helper()
-	rejected, seen := 0, 0
+// maliciousDecisions counts, from decision trace records, the updates
+// submitted by malicious clients (ids below `malicious`) and how many of
+// them the filter rejected.
+func maliciousDecisions(hubs []*obsv.Hub, malicious int) (rejected, seen int) {
 	for _, hub := range hubs {
 		for _, rec := range hub.Tracer.Last(0) {
 			if rec.Kind != obsv.KindDecision || rec.ClientID >= malicious {
@@ -27,6 +25,14 @@ func maliciousRejectRate(t *testing.T, hubs []*obsv.Hub, malicious int) float64 
 			}
 		}
 	}
+	return rejected, seen
+}
+
+// maliciousRejectRate is the fraction of the malicious clients' updates
+// that the filter rejected.
+func maliciousRejectRate(t *testing.T, hubs []*obsv.Hub, malicious int) float64 {
+	t.Helper()
+	rejected, seen := maliciousDecisions(hubs, malicious)
 	if seen == 0 {
 		t.Fatal("no malicious decisions traced")
 	}
@@ -34,7 +40,12 @@ func maliciousRejectRate(t *testing.T, hubs []*obsv.Hub, malicious int) float64 
 }
 
 // singleServerBaseline runs the classic one-server deployment under the
-// same attack mix and returns its malicious rejection rate.
+// same attack mix and returns its malicious rejection rate. It runs until
+// the filter has judged as many attacker updates as twelve rounds with
+// every attacker in each would hold, not for twelve rounds: six honest
+// clients fill a round every few milliseconds, so on a loaded box twelve
+// rounds could be over before an attacker's goroutine had dialled, and the
+// rate was then computed over nothing.
 func singleServerBaseline(t *testing.T, numClients, malicious int) float64 {
 	t.Helper()
 	hub := obsv.NewHub(0)
@@ -45,7 +56,7 @@ func singleServerBaseline(t *testing.T, numClients, malicious int) float64 {
 		InitialParams:   initialParams(t),
 		AggregationGoal: 8,
 		StalenessLimit:  10,
-		Rounds:          12,
+		Rounds:          100000,
 		Obsv:            hub,
 	}, asyncFilter(t), nil)
 	if err != nil {
@@ -59,10 +70,15 @@ func singleServerBaseline(t *testing.T, numClients, malicious int) float64 {
 	go func() { serveErr <- server.Serve(lis) }()
 
 	_, wait := startClients(t, numClients, malicious, []string{lis.Addr().String()})
-	select {
-	case <-server.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatalf("baseline did not finish: %+v", server.Stats())
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, seen := maliciousDecisions([]*obsv.Hub{hub}, malicious); seen >= 12*malicious {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("baseline never judged %d attacker updates: %+v", 12*malicious, server.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	_ = server.Close()
 	wait()

@@ -9,7 +9,6 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/checkpoint"
 	"github.com/asyncfl/asyncfilter/internal/fl"
 	"github.com/asyncfl/asyncfilter/internal/transport"
-	"github.com/asyncfl/asyncfilter/internal/vecmath"
 )
 
 // This file is the root's replication surface — what internal/replica
@@ -222,10 +221,9 @@ func (r *Root) ApplyRecord(rec *transport.ReplRecord) error {
 	if rec.EdgeAddr != "" {
 		es.clientAddr = rec.EdgeAddr
 	}
-	if rec.Delta != nil {
-		vecmath.Add(r.global, r.global, rec.Delta)
-	}
-	r.version = int(rec.Seq)
+	// The same commit as the primary's, so the models stay bit-identical
+	// under any ServerLR; a standby mirrors no deferred queue.
+	r.version = r.engine.Commit(&fl.Round{Number: int(rec.Seq), Delta: rec.Delta}, r.global, r.deferred)
 	r.observeEpochLocked(rec.Epoch)
 	if rec.ShardVersion > r.shard.Version {
 		r.shard.Version = rec.ShardVersion
@@ -248,16 +246,16 @@ func (r *Root) ApplyRecord(rec *transport.ReplRecord) error {
 	var ferr error
 	if len(rec.FilterState) > 0 {
 		if rec.FilterFull {
-			if sf, ok := r.filter.(fl.StateSnapshotter); ok {
+			if sf, ok := r.engine.Filter().(fl.StateSnapshotter); ok {
 				ferr = sf.RestoreState(rec.FilterState)
 			} else {
-				ferr = fmt.Errorf("topology: ApplyRecord: filter %q cannot restore state", r.filter.Name())
+				ferr = fmt.Errorf("topology: ApplyRecord: filter %q cannot restore state", r.engine.Filter().Name())
 			}
 		} else {
-			if m, ok := r.filter.(fl.StateMerger); ok {
+			if m, ok := r.engine.Filter().(fl.StateMerger); ok {
 				ferr = m.MergeState(rec.FilterState)
 			} else {
-				ferr = fmt.Errorf("topology: ApplyRecord: filter %q cannot merge state", r.filter.Name())
+				ferr = fmt.Errorf("topology: ApplyRecord: filter %q cannot merge state", r.engine.Filter().Name())
 			}
 		}
 	}
@@ -276,11 +274,11 @@ func (r *Root) ApplyRecord(rec *transport.ReplRecord) error {
 // otherwise (first record of a stream, diff impossible, or the filter
 // only snapshots). The caller holds the round slot.
 func (r *Root) filterReplState() ([]byte, bool) {
-	sf, ok := r.filter.(fl.StateSnapshotter)
+	sf, ok := r.engine.Filter().(fl.StateSnapshotter)
 	if !ok {
 		return nil, false
 	}
-	if differ, ok := r.filter.(fl.StateDiffer); ok && r.replPrevFilter != nil {
+	if differ, ok := r.engine.Filter().(fl.StateDiffer); ok && r.replPrevFilter != nil {
 		delta, err := differ.DiffState(r.replPrevFilter)
 		if err == nil {
 			cur, err := sf.SnapshotState()

@@ -143,9 +143,10 @@ type edgeState struct {
 // the fleet-wide model and shard map, and orchestrates failover. Create
 // with NewRoot, start with Serve, wait on Done.
 type Root struct {
-	cfg      RootConfig
-	filter   fl.Filter
-	combiner fl.Combiner
+	cfg RootConfig
+	// engine runs the round itself (fl.Engine: filter, combine, commit);
+	// applyBatch supplies the batch and the locking around it.
+	engine *fl.Engine
 
 	mu       sync.Mutex
 	global   []float64
@@ -163,7 +164,11 @@ type Root struct {
 	stats        RootStats
 	edges        map[int]*edgeState
 	shard        transport.ShardMap
-	deferred     []*fl.Update
+	// deferred holds the updates the root filter postponed; they join the
+	// next applied batch. Only its queue half is used: edge batches never
+	// pass through Add, so nothing is dropped on arrival and the goal is
+	// moot.
+	deferred *fl.Buffer
 	// orphans holds filter snapshots of edges that died while no live
 	// survivor existed; they are adopted by the next edge to Hello so a
 	// total partition never loses learned filter state.
@@ -199,16 +204,14 @@ func NewRoot(cfg RootConfig, filter fl.Filter, combiner fl.Combiner) (*Root, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if filter == nil {
-		filter = fl.Passthrough{}
-	}
-	if combiner == nil {
-		combiner = fl.MeanCombiner{}
+	deferred, err := fl.NewBuffer(1, cfg.StalenessLimit)
+	if err != nil {
+		return nil, err
 	}
 	r := &Root{
 		cfg:       cfg,
-		filter:    filter,
-		combiner:  combiner,
+		engine:    fl.NewEngine(filter, combiner, cfg.Aggregator),
+		deferred:  deferred,
 		global:    vecmath.Clone(cfg.InitialParams),
 		edges:     make(map[int]*edgeState),
 		conns:     make(map[net.Conn]struct{}),
@@ -648,8 +651,7 @@ func (r *Root) applyBatch(es *edgeState, b *transport.BatchMsg) *transport.RootM
 	if len(b.FilterState) > 0 {
 		es.filterState = b.FilterState
 	}
-	batch := r.deferred
-	r.deferred = nil
+	batch := r.deferred.Drain()
 	dim := len(r.global)
 	for _, u := range b.Updates {
 		if u == nil || len(u.Delta) != dim {
@@ -658,40 +660,22 @@ func (r *Root) applyBatch(es *edgeState, b *transport.BatchMsg) *transport.RootM
 		}
 		batch = append(batch, u)
 	}
-	round := r.version + 1
+	version := r.version
 	r.mu.Unlock()
 
-	// Filter and combine run outside r.mu (they are O(batch · dim)); the
-	// round slot keeps rounds strictly ordered and the filter quiescent.
-	fres, err := r.filterBatch(batch, round)
-	if err != nil {
-		fres = fl.AcceptAll(len(batch))
-	}
-	accepted, deferred, rejected := fres.Split(batch)
-	delta := r.combineBatch(accepted, round)
+	// The decide step runs outside r.mu (it is O(batch · dim)); the round
+	// slot keeps rounds strictly ordered and the filter quiescent.
+	rd := r.engine.Decide(batch, version)
 
 	r.mu.Lock()
-	if delta != nil {
-		vecmath.Add(r.global, r.global, delta)
-	}
-	r.version++
+	r.version = r.engine.Commit(&rd, r.global, r.deferred)
 	es.lastApplied = b.BatchID
 	r.stats.Rounds = r.version
 	r.stats.BatchesApplied++
-	r.stats.Accepted += len(accepted)
-	r.stats.Deferred += len(deferred)
-	r.stats.Rejected += len(rejected)
-	// Deferred updates wait for the next batch; each requeue round ages
-	// them by one, and the staleness limit bounds how long a verdict can
-	// be postponed.
-	for _, u := range deferred {
-		u.Staleness++
-		if r.cfg.StalenessLimit > 0 && u.Staleness > r.cfg.StalenessLimit {
-			r.stats.DroppedStale++
-			continue
-		}
-		r.deferred = append(r.deferred, u)
-	}
+	r.stats.Accepted += len(rd.Accepted)
+	r.stats.Deferred += len(rd.Deferred)
+	r.stats.Rejected += len(rd.Rejected)
+	r.stats.DroppedStale += rd.DroppedStale
 	if r.version >= r.cfg.Rounds && !r.finished {
 		r.finished = true
 		r.closeDone()
@@ -708,11 +692,19 @@ func (r *Root) applyBatch(es *edgeState, b *transport.BatchMsg) *transport.RootM
 	checkpointDue := r.cfg.CheckpointPath != "" && (r.finished || r.version%every == 0)
 	var rec *transport.ReplRecord
 	if r.onCommit != nil {
-		rec = r.buildReplRecord(es, b, delta, len(accepted), len(deferred), len(rejected))
+		rec = r.buildReplRecord(es, b, rd.Delta, len(rd.Accepted), len(rd.Deferred), len(rd.Rejected))
 	}
 	r.noteBatch(es.id, "applied")
 	r.mu.Unlock()
 
+	r.engine.Observe(&rd)
+	if rd.Panics > 0 {
+		// The one place a round's recovered filter, combiner and observer
+		// panics are counted.
+		r.mu.Lock()
+		r.stats.HandlerPanics += rd.Panics
+		r.mu.Unlock()
+	}
 	if rec != nil {
 		// Still holding the round slot: records reach the replication
 		// stream in strict version order, and the filter is quiescent for
@@ -747,48 +739,6 @@ func (r *Root) buildReplRecord(es *edgeState, b *transport.BatchMsg, delta []flo
 		Deferred: deferred,
 		Rejected: rejected,
 	}
-}
-
-// filterBatch runs the root filter behind the same recover guard as the
-// transport server: a panicking filter downgrades to accept-all for the
-// round instead of wedging the round slot.
-func (r *Root) filterBatch(updates []*fl.Update, round int) (fres fl.FilterResult, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.mu.Lock()
-			r.stats.HandlerPanics++
-			r.mu.Unlock()
-			log.Printf("topology: recovered root filter panic in round %d: %v\n%s", round, rec, debug.Stack())
-			err = fmt.Errorf("topology: root filter panic: %v", rec)
-		}
-	}()
-	if len(updates) == 0 {
-		return fl.FilterResult{}, nil
-	}
-	return r.filter.Filter(updates, round)
-}
-
-// combineBatch runs the combiner behind a recover guard; a failing
-// combiner loses the round's delta but the round still commits.
-func (r *Root) combineBatch(accepted []*fl.Update, round int) (delta []float64) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.mu.Lock()
-			r.stats.HandlerPanics++
-			r.mu.Unlock()
-			log.Printf("topology: recovered root combiner panic in round %d: %v\n%s", round, rec, debug.Stack())
-			delta = nil
-		}
-	}()
-	if len(accepted) == 0 {
-		return nil
-	}
-	d, err := r.combiner.Combine(accepted, r.cfg.Aggregator)
-	if err != nil {
-		log.Printf("topology: root combiner failed in round %d: %v", round, err)
-		return nil
-	}
-	return d
 }
 
 // rebuildShardLocked recomputes the shard map from the live edges and
@@ -939,12 +889,10 @@ func (r *Root) captureCkpt() rootCkpt {
 		Version:      r.version,
 		Stats:        r.stats,
 		ShardVersion: r.shard.Version,
-		FilterName:   r.filter.Name(),
+		FilterName:   r.engine.Filter().Name(),
 		Epoch:        r.epoch,
 	}
-	for _, u := range r.deferred {
-		ck.Deferred = append(ck.Deferred, fl.CloneUpdate(u))
-	}
+	ck.Deferred = r.deferred.Snapshot().Updates
 	ck.Orphans = r.orphans
 	for _, es := range r.edges {
 		ck.Edges = append(ck.Edges, edgeCkpt{
@@ -957,7 +905,7 @@ func (r *Root) captureCkpt() rootCkpt {
 	}
 	r.mu.Unlock()
 
-	if sf, ok := r.filter.(fl.StateSnapshotter); ok {
+	if sf, ok := r.engine.Filter().(fl.StateSnapshotter); ok {
 		state, err := sf.SnapshotState()
 		if err != nil {
 			log.Printf("topology: root filter snapshot failed: %v", err)
@@ -1018,15 +966,15 @@ func (r *Root) adoptCkpt(ck *rootCkpt, where string) error {
 	if ck.Version < 0 {
 		return fmt.Errorf("topology: %s: negative version %d", where, ck.Version)
 	}
-	if ck.FilterName != r.filter.Name() {
+	if ck.FilterName != r.engine.Filter().Name() {
 		return fmt.Errorf("topology: %s: checkpoint written by filter %q, root runs %q",
-			where, ck.FilterName, r.filter.Name())
+			where, ck.FilterName, r.engine.Filter().Name())
 	}
 	if len(ck.FilterState) > 0 {
-		sf, ok := r.filter.(fl.StateSnapshotter)
+		sf, ok := r.engine.Filter().(fl.StateSnapshotter)
 		if !ok {
 			return fmt.Errorf("topology: %s: checkpoint carries filter state but filter %q cannot restore it",
-				where, r.filter.Name())
+				where, r.engine.Filter().Name())
 		}
 		if err := sf.RestoreState(ck.FilterState); err != nil {
 			return fmt.Errorf("topology: %s: %w", where, err)
@@ -1037,7 +985,7 @@ func (r *Root) adoptCkpt(ck *rootCkpt, where string) error {
 	r.version = ck.Version
 	r.stats = ck.Stats
 	r.shard.Version = ck.ShardVersion
-	r.deferred = ck.Deferred
+	r.deferred.Restore(fl.BufferState{Updates: ck.Deferred})
 	r.orphans = ck.Orphans
 	r.observeEpochLocked(ck.Epoch)
 	r.edges = make(map[int]*edgeState, len(ck.Edges))

@@ -74,7 +74,7 @@ func (s *Server) shouldCheckpointLocked() bool {
 // the round's ObserveRound has run.
 func (s *Server) captureSnapshotLocked() *serverSnapshot {
 	snap := &serverSnapshot{
-		FilterName: s.filter.Name(),
+		FilterName: s.engine.Filter().Name(),
 		Global:     vecmath.Clone(s.global),
 		Version:    s.version,
 		Stats:      s.stats,
@@ -122,7 +122,7 @@ func (s *Server) writeSnapshot(snap *serverSnapshot) {
 			log.Printf("transport: recovered checkpoint panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if snapshotter, ok := s.filter.(fl.StateSnapshotter); ok {
+	if snapshotter, ok := s.engine.Filter().(fl.StateSnapshotter); ok {
 		data, err := snapshotter.SnapshotState()
 		if err != nil {
 			log.Printf("transport: checkpoint skipped: filter snapshot failed: %v", err)
@@ -162,15 +162,15 @@ func (s *Server) restoreFromCheckpoint(path string) error {
 	if snap.Version < 0 {
 		return fmt.Errorf("transport: restore from %s: negative version %d", path, snap.Version)
 	}
-	if snap.FilterName != s.filter.Name() {
+	if snap.FilterName != s.engine.Filter().Name() {
 		return fmt.Errorf("transport: restore from %s: checkpoint written by filter %q, server runs %q",
-			path, snap.FilterName, s.filter.Name())
+			path, snap.FilterName, s.engine.Filter().Name())
 	}
 	if len(snap.Filter) > 0 {
-		snapshotter, ok := s.filter.(fl.StateSnapshotter)
+		snapshotter, ok := s.engine.Filter().(fl.StateSnapshotter)
 		if !ok {
 			return fmt.Errorf("transport: restore from %s: checkpoint carries filter state but filter %q cannot restore it",
-				path, s.filter.Name())
+				path, s.engine.Filter().Name())
 		}
 		if err := snapshotter.RestoreState(snap.Filter); err != nil {
 			return fmt.Errorf("transport: restore from %s: %w", path, err)

@@ -120,7 +120,7 @@ func (o *serverObs) roundCommitted(version int, latency time.Duration, batch, ac
 func (s *Server) wireObsv(hub *obsv.Hub) {
 	s.obs = newServerObs(hub, s)
 	s.buffer.SetObserver(obsv.NewBufferSink(hub))
-	if of, ok := s.filter.(fl.ObservableFilter); ok {
+	if of, ok := s.engine.Filter().(fl.ObservableFilter); ok {
 		of.SetObserver(obsv.NewFilterSink(hub))
 	}
 }

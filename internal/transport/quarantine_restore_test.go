@@ -50,7 +50,7 @@ func TestRestoreKeepsQuarantineAndLeases(t *testing.T) {
 	}
 	// Client 9 collects one rejection: mid-streak, breaker still closed.
 	server.mu.Lock()
-	server.filter.(*clientRejectFilter).rejectID = 9
+	server.engine.Filter().(*clientRejectFilter).rejectID = 9
 	server.mu.Unlock()
 	if v := submit(server, streak); v.nack != 0 {
 		t.Fatalf("streak rejection refused admission: %+v", v)

@@ -320,9 +320,10 @@ func (c *ServerConfig) Validate() error {
 // Server is the asynchronous FL aggregation server. Create with NewServer,
 // start with Serve, wait on Done.
 type Server struct {
-	cfg      ServerConfig
-	filter   fl.Filter
-	combiner fl.Combiner
+	cfg ServerConfig
+	// engine runs the round itself (fl.Engine: filter, combine, commit);
+	// maybeAggregate supplies the batch and the locking around it.
+	engine *fl.Engine
 
 	// arena recycles update-delta vectors and Update structs across the
 	// receive -> buffer -> filter -> round-commit pipeline. Deltas
@@ -435,20 +436,13 @@ func NewServer(cfg ServerConfig, filter fl.Filter, combiner fl.Combiner) (*Serve
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if filter == nil {
-		filter = fl.Passthrough{}
-	}
-	if combiner == nil {
-		combiner = fl.MeanCombiner{}
-	}
 	buffer, err := fl.NewBuffer(cfg.AggregationGoal, cfg.StalenessLimit)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:      cfg,
-		filter:   filter,
-		combiner: combiner,
+		engine:   fl.NewEngine(filter, combiner, cfg.Aggregator),
 		arena:    fl.NewArena(len(cfg.InitialParams)),
 		global:   vecmath.Clone(cfg.InitialParams),
 		buffer:   buffer,
@@ -917,14 +911,14 @@ const (
 	forceDrain
 )
 
-// maybeAggregate runs filter+aggregate rounds while the buffer is ready
-// (or once unconditionally when forced by the watchdog or a drain). The
-// filter and the combiner are O(buffer · dim) and run *outside* s.mu —
-// holding the lock across them would serialize every connection handler
-// behind the round and let a stalled filter wedge heartbeats and
-// shutdown. Rounds themselves stay strictly ordered: the aggregating flag
-// admits one round at a time, and a round that commits while the buffer
-// is ready again loops rather than handing off.
+// maybeAggregate runs rounds while the buffer is ready (or once
+// unconditionally when forced by the watchdog or a drain). The round
+// itself is fl.Engine's; its decide step is O(buffer · dim) and runs
+// *outside* s.mu — holding the lock across it would serialize every
+// connection handler behind the round and let a stalled filter wedge
+// heartbeats and shutdown. Rounds themselves stay strictly ordered: the
+// aggregating flag admits one round at a time, and a round that commits
+// while the buffer is ready again loops rather than handing off.
 func (s *Server) maybeAggregate(force forceMode) {
 	forced := force != forceNone
 	s.mu.Lock()
@@ -947,44 +941,28 @@ func (s *Server) maybeAggregate(force forceMode) {
 		if len(updates) == 0 {
 			break
 		}
-		// Staleness is recomputed at drain time so updates that waited in
-		// the buffer across watchdog rounds (or were requeued after a
-		// deferral) carry their true age into the filter and the staleness
-		// discount.
+		// Staleness is recomputed at drain time so updates that arrived
+		// while the previous round was in flight (or waited across a
+		// watchdog round) carry their true age into the filter and the
+		// staleness discount.
 		for _, u := range updates {
 			u.Staleness = s.version - u.BaseVersion
 		}
-		round := s.version + 1
+		version := s.version
 		s.mu.Unlock()
 
 		roundStart := time.Now()
-		fres, err := s.filterBatch(updates, round)
-		if err != nil {
-			// A failing filter must not wedge the deployment: fall back to
-			// accepting the batch (FedBuff behaviour) for this round.
-			fres = fl.AcceptAll(len(updates))
-		}
-		accepted, deferred, rejected := fres.Split(updates)
-		delta := s.combineBatch(accepted, round)
+		rd := s.engine.Decide(updates, version)
 
 		s.mu.Lock()
-		if delta != nil {
-			vecmath.Add(s.global, s.global, delta)
-		}
-		s.stats.Accepted += len(accepted)
-		s.stats.Deferred += len(deferred)
-		s.stats.Rejected += len(rejected)
-		s.noteFilterOutcomesLocked(accepted, rejected)
-		s.version++
+		s.version = s.engine.Commit(&rd, s.global, s.buffer)
 		s.stats.Rounds = s.version
-		s.stats.DroppedStale += s.buffer.RequeueAt(deferred, s.version)
+		s.stats.Accepted += len(rd.Accepted)
+		s.stats.Deferred += len(rd.Deferred)
+		s.stats.Rejected += len(rd.Rejected)
+		s.stats.DroppedStale += rd.DroppedStale
+		s.noteFilterOutcomesLocked(rd.Accepted, rd.Rejected)
 		s.lastProgress = time.Now()
-		version := s.version
-		obs, isObs := s.filter.(fl.RoundObserver)
-		var obsGlobal []float64
-		if isObs {
-			obsGlobal = vecmath.Clone(s.global)
-		}
 		if s.version >= s.cfg.Rounds && !s.finished {
 			s.finished = true
 			close(s.done)
@@ -999,13 +977,14 @@ func (s *Server) maybeAggregate(force forceMode) {
 		// aggregating flag keeps the filter quiescent, so ObserveRound,
 		// OnRoundCommitted and SnapshotState see exactly this round's
 		// state, in order.
-		s.obs.roundCommitted(version, time.Since(roundStart),
-			len(updates), len(accepted), len(deferred), len(rejected))
-		if isObs {
-			s.observeRound(obs, version, obsGlobal, accepted)
-		}
+		s.obs.roundCommitted(rd.Number, time.Since(roundStart),
+			len(updates), len(rd.Accepted), len(rd.Deferred), len(rd.Rejected))
+		s.engine.Observe(&rd)
 		if s.cfg.OnRoundCommitted != nil {
-			s.notifyRoundCommitted(version, accepted)
+			_ = rd.Guard("round-commit callback", func() error { // counted below
+				s.cfg.OnRoundCommitted(rd.Number, rd.Accepted)
+				return nil
+			})
 		}
 		if snap != nil {
 			s.writeSnapshot(snap)
@@ -1017,16 +996,19 @@ func (s *Server) maybeAggregate(force forceMode) {
 		// unless OnRoundCommitted took ownership of them (hierarchical
 		// edges forward them upstream). Deferred updates went back into
 		// the buffer and stay alive.
-		for _, u := range rejected {
+		for _, u := range rd.Rejected {
 			s.arena.PutUpdate(u)
 		}
 		if s.cfg.OnRoundCommitted == nil {
-			for _, u := range accepted {
+			for _, u := range rd.Accepted {
 				s.arena.PutUpdate(u)
 			}
 		}
 
 		s.mu.Lock()
+		// The one place a round's recovered filter, combiner, observer and
+		// commit-hook panics are counted.
+		s.stats.HandlerPanics += rd.Panics
 		if s.finished || !s.buffer.Ready() {
 			break
 		}
@@ -1034,78 +1016,4 @@ func (s *Server) maybeAggregate(force forceMode) {
 	s.aggregating = false
 	s.aggDone.Broadcast()
 	s.mu.Unlock()
-}
-
-// filterBatch runs the filter with a recover guard: a panicking filter is
-// downgraded to a failing filter (the caller accepts the batch wholesale,
-// FedBuff behaviour) instead of tearing down the deployment and losing
-// the round's updates. Runs without s.mu held.
-func (s *Server) filterBatch(updates []*fl.Update, round int) (fres fl.FilterResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.stats.HandlerPanics++
-			s.mu.Unlock()
-			log.Printf("transport: recovered filter panic in round %d: %v\n%s", round, r, debug.Stack())
-			err = fmt.Errorf("transport: filter panic: %v", r)
-		}
-	}()
-	return s.filter.Filter(updates, round)
-}
-
-// combineBatch runs the combiner with the same recover guard as
-// filterBatch: a panicking or failing combiner drops this round's delta
-// (the batch is lost) but the round still commits and the server keeps
-// serving. A panic escaping here would unwind past the code that clears
-// the aggregating flag and wedge Close forever. Runs without s.mu held.
-func (s *Server) combineBatch(accepted []*fl.Update, round int) (delta []float64) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.stats.HandlerPanics++
-			s.mu.Unlock()
-			log.Printf("transport: recovered combiner panic in round %d: %v\n%s", round, r, debug.Stack())
-			delta = nil
-		}
-	}()
-	if len(accepted) == 0 {
-		return nil
-	}
-	d, err := s.combiner.Combine(accepted, s.cfg.Aggregator)
-	if err != nil {
-		log.Printf("transport: combiner failed in round %d: %v", round, err)
-		return nil
-	}
-	return d
-}
-
-// notifyRoundCommitted hands a committed round's accepted updates to the
-// configured OnRoundCommitted callback behind the same recover guard as
-// the other unlocked round-commit work: a panicking callback must not
-// leave the aggregating flag set. Runs without s.mu held.
-func (s *Server) notifyRoundCommitted(version int, accepted []*fl.Update) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.stats.HandlerPanics++
-			s.mu.Unlock()
-			log.Printf("transport: recovered round-commit callback panic in round %d: %v\n%s", version, r, debug.Stack())
-		}
-	}()
-	s.cfg.OnRoundCommitted(version, accepted)
-}
-
-// observeRound delivers the committed round to a RoundObserver filter
-// behind a recover guard, for the same reason as combineBatch: observer
-// panics must not leave the aggregating flag set. Runs without s.mu held.
-func (s *Server) observeRound(obs fl.RoundObserver, version int, global []float64, accepted []*fl.Update) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.stats.HandlerPanics++
-			s.mu.Unlock()
-			log.Printf("transport: recovered observer panic in round %d: %v\n%s", version, r, debug.Stack())
-		}
-	}()
-	obs.ObserveRound(version, global, accepted)
 }

@@ -254,7 +254,7 @@ func (s *Server) WithFilterQuiescent(fn func()) {
 // Filter returns the server's filter. The filter is not safe for
 // concurrent use with aggregation; callers needing to touch its state use
 // WithFilterQuiescent.
-func (s *Server) Filter() fl.Filter { return s.filter }
+func (s *Server) Filter() fl.Filter { return s.engine.Filter() }
 
 // SetShardAddrs publishes a new client-facing shard address list. Every
 // connected client receives the new list in its next task envelope;
