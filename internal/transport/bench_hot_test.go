@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"testing"
+	"time"
 
 	"github.com/asyncfl/asyncfilter/internal/fl"
 )
@@ -69,4 +71,67 @@ func BenchmarkHotWireEdgeBatch(b *testing.B) {
 // binary numbers.
 func BenchmarkHotWireEdgeBatchGob(b *testing.B) {
 	benchWireEdgeBatch(b, CodecGob)
+}
+
+// discardConn is the server's end of a connection whose peer reads
+// everything at once: the reply path's own cost with no socket under it.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// replyWire builds the server side of one connection in the given codec
+// over conn, past the Hello.
+func replyWire(s *Server, conn net.Conn, codec Codec) serverWire {
+	if codec == CodecBinary {
+		return &binServerWire{bin: newBinConn(conn, 0, false), srv: s}
+	}
+	return newGobServerWire(conn, conn, 0)
+}
+
+// BenchmarkHotTaskReply measures the reply to an accepted update — the
+// current model, once per update per client — at the toy dimension and at
+// LeNet-5 size. The binary rows are the published frame going out as it
+// stands and are gated at 0 allocs/op by `make bench-hot`; the gob rows
+// re-encode per connection (a gob stream cannot share bytes) and show
+// what that costs.
+func BenchmarkHotTaskReply(b *testing.B) {
+	for _, codec := range []Codec{CodecBinary, CodecGob} {
+		for _, dim := range []int{256, 61706} {
+			b.Run(fmt.Sprintf("%v/d%d", codec, dim), func(b *testing.B) {
+				s := replyServer(b, make([]float64, dim))
+				var conn net.Conn = discardConn{}
+				wire := replyWire(s, conn, codec)
+				sentShard := -1
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !s.sendTask(conn, wire, &sentShard) {
+						b.Fatal("reply path gave the connection up")
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPlainTaskReplyAllocatesNothing is the tier-1 form of that gate: a
+// plain task reply on a binary connection allocates no object — so no
+// byte — per reply, at any dimension: no model clone, no envelope, no
+// growth of the connection's write scratch.
+func TestPlainTaskReplyAllocatesNothing(t *testing.T) {
+	for _, dim := range []int{256, 61706} {
+		s := replyServer(t, make([]float64, dim))
+		var conn net.Conn = discardConn{}
+		wire := replyWire(s, conn, CodecBinary)
+		sentShard := -1
+		allocs := testing.AllocsPerRun(200, func() {
+			if !s.sendTask(conn, wire, &sentShard) {
+				t.Fatal("reply path gave the connection up")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("dim %d: %v allocations per plain binary task reply, want 0", dim, allocs)
+		}
+	}
 }

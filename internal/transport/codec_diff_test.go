@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -402,6 +403,27 @@ func TestDifferentialPrimaryToStandby(t *testing.T) {
 	}
 }
 
+// slabBitPatterns are the float64 bit patterns every slab-carrying frame
+// must deliver untouched.
+var slabBitPatterns = []uint64{
+	math.Float64bits(math.NaN()),
+	0x7ff8dead_beeff001, // arena debug poison
+	0x7ff00000_00000000, // +Inf
+	0xfff00000_00000000, // -Inf
+	0x80000000_00000000, // -0
+	0x00000000_00000001, // smallest subnormal
+	math.Float64bits(math.MaxFloat64),
+}
+
+// bitPatternSlab returns slabBitPatterns as a float64 slab.
+func bitPatternSlab() []float64 {
+	slab := make([]float64, len(slabBitPatterns))
+	for i, bits := range slabBitPatterns {
+		slab[i] = math.Float64frombits(bits)
+	}
+	return slab
+}
+
 // TestBinarySlabBitPatterns proves raw float64 slabs survive bit-exactly
 // through every raw frame kind that carries one: NaN payloads (which a
 // poisoned client could craft), infinities and signed zeros must arrive
@@ -409,19 +431,8 @@ func TestDifferentialPrimaryToStandby(t *testing.T) {
 // the client produced. reflect.DeepEqual cannot check this (NaN != NaN),
 // hence the dedicated bit-level comparison.
 func TestBinarySlabBitPatterns(t *testing.T) {
-	patterns := []uint64{
-		math.Float64bits(math.NaN()),
-		0x7ff8dead_beeff001, // arena debug poison
-		0x7ff00000_00000000, // +Inf
-		0xfff00000_00000000, // -Inf
-		0x80000000_00000000, // -0
-		0x00000000_00000001, // smallest subnormal
-		math.Float64bits(math.MaxFloat64),
-	}
-	slab := make([]float64, len(patterns))
-	for i, bits := range patterns {
-		slab[i] = math.Float64frombits(bits)
-	}
+	patterns := slabBitPatterns
+	slab := bitPatternSlab()
 	checkBits := func(t *testing.T, got []float64) {
 		t.Helper()
 		if len(got) != len(patterns) {
@@ -501,4 +512,176 @@ func TestBinarySlabBitPatterns(t *testing.T) {
 		}
 		checkBits(t, got.Record.Delta)
 	})
+}
+
+// captureConn is the server's end of a connection nobody reads: it keeps
+// what the reply path writes and counts the Write calls, each of which is
+// one I/O operation to a FaultConn schedule. Any other net.Conn method the
+// reply path were to call panics on the nil embedded Conn.
+type captureConn struct {
+	net.Conn
+	buf    bytes.Buffer
+	writes int
+}
+
+func (c *captureConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.buf.Write(p)
+}
+
+func (c *captureConn) SetWriteDeadline(time.Time) error { return nil }
+
+// replyServer builds a server that only ever replies: its goal is out of
+// reach, so the published model is what the test put there.
+func replyServer(tb testing.TB, params []float64) *Server {
+	tb.Helper()
+	s, err := NewServer(ServerConfig{
+		InitialParams:   params,
+		AggregationGoal: 1 << 20,
+		Rounds:          1 << 20,
+		WriteTimeout:    time.Second,
+	}, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// TestPublishedFrameIsTheWireFormat holds the frame a server publishes
+// once per model state to the frame the per-connection encoder writes for
+// the same task, byte for byte, for random versions and slabs, the empty
+// slab and the non-finite bit patterns — and the replies that cannot use
+// it (NACK + task, shard push) to exactly one envelope in one Write.
+func TestPublishedFrameIsTheWireFormat(t *testing.T) {
+	r := randx.New(7)
+	type pin struct {
+		version int
+		params  []float64
+	}
+	pins := []pin{{0, nil}, {1 << 40, nil}, {3, bitPatternSlab()}}
+	for i := 0; i < diffTrials; i++ {
+		pins = append(pins, pin{r.Intn(1 << 30), genVec(r, r.Intn(40))})
+	}
+
+	for i, p := range pins {
+		// The publish helper itself, on a bare server: NewServer refuses an
+		// empty model, and dim 0 is a case the frame must still get right.
+		s := &Server{version: p.version, global: p.params}
+		s.publishLocked()
+		pub := s.task.Load()
+
+		var want bytes.Buffer
+		msg := &ServerMsg{Task: &Task{Version: p.version, Params: p.params}}
+		if err := newBinConn(&want, 0, false).writeServerMsg(msg); err != nil {
+			t.Fatalf("pin %d: per-connection encode: %v", i, err)
+		}
+		if !bytes.Equal(pub.frame, want.Bytes()) {
+			t.Fatalf("pin %d (version %d, dim %d): published frame differs from writeServerMsg's bytes", i, p.version, len(p.params))
+		}
+
+		// The frame goes out in one Write and leaves the connection's own
+		// write scratch alone.
+		conn := &captureConn{}
+		wire := &binServerWire{bin: newBinConn(conn, 0, false), srv: s}
+		if err := wire.writeTask(pub); err != nil {
+			t.Fatalf("pin %d: writeTask: %v", i, err)
+		}
+		if conn.writes != 1 || !bytes.Equal(conn.buf.Bytes(), want.Bytes()) || cap(wire.bin.wbuf) != 0 {
+			t.Fatalf("pin %d: writeTask made %d writes of %d bytes (want 1 of %d) and grew the write scratch to %d",
+				i, conn.writes, conn.buf.Len(), want.Len(), cap(wire.bin.wbuf))
+		}
+
+		var got ServerMsg
+		if _, err := newBinConn(&conn.buf, 0, false).readServerMsg(&got, nil); err != nil {
+			t.Fatalf("pin %d: decode of the published frame: %v", i, err)
+		}
+		if got.Task == nil || got.Task.Version != p.version || !sameSlabBits(got.Task.Params, p.params) {
+			t.Fatalf("pin %d: published frame decodes to %+v, want version %d and the same %d floats", i, got.Task, p.version, len(p.params))
+		}
+		got.Task.Params = nil
+		if want := (ServerMsg{Task: &Task{Version: p.version}}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pin %d: published frame decodes to %+v beyond its params, want %+v", i, got, want)
+		}
+		if conn.buf.Len() != 0 {
+			t.Fatalf("pin %d: %d bytes follow the published frame", i, conn.buf.Len())
+		}
+	}
+}
+
+// sameSlabBits compares two slabs bit for bit (reflect.DeepEqual cannot:
+// NaN != NaN), treating nil and empty alike as the wire does.
+func sameSlabBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTaskRepliesAreOneEnvelope drives the server's reply path itself in
+// both codecs: the plain task, the NACK + task and the shard push each
+// reach the client as exactly one envelope carrying the published model —
+// and, on a binary connection, in exactly one Write.
+func TestTaskRepliesAreOneEnvelope(t *testing.T) {
+	params := genVec(randx.New(8), 33)
+	shards := []string{"127.0.0.1:9001", "127.0.0.1:9002"}
+	for _, codec := range []Codec{CodecBinary, CodecGob} {
+		s := replyServer(t, params)
+		s.SetShardAddrs(shards)
+		conn := &captureConn{}
+		wire := replyWire(s, conn, codec)
+		var recv func() *ServerMsg
+		if codec == CodecBinary {
+			br := newBinConn(&conn.buf, 0, false)
+			recv = func() *ServerMsg {
+				msg := new(ServerMsg)
+				if _, err := br.readServerMsg(msg, nil); err != nil {
+					t.Fatalf("%v: decode: %v", codec, err)
+				}
+				return msg
+			}
+		} else {
+			dec := gob.NewDecoder(&conn.buf)
+			recv = func() *ServerMsg {
+				msg := new(ServerMsg)
+				if err := dec.Decode(msg); err != nil {
+					t.Fatalf("%v: decode: %v", codec, err)
+				}
+				return msg
+			}
+		}
+		task := &Task{Version: 0, Params: params}
+		sentShard := -1
+		steps := []struct {
+			name  string
+			nack  NackCode
+			retry time.Duration
+			want  *ServerMsg
+		}{
+			// The first reply of a connection carries the shard list.
+			{"shard push", 0, 0, &ServerMsg{Task: task, Shards: shards, ShardVersion: 1}},
+			{"plain task", 0, 0, &ServerMsg{Task: task}},
+			{"nack + task", NackRateLimited, 250 * time.Millisecond, &ServerMsg{Task: task, Nack: NackRateLimited, RetryAfter: 250 * time.Millisecond}},
+			{"plain task again", 0, 0, &ServerMsg{Task: task}},
+		}
+		for _, step := range steps {
+			conn.writes = 0
+			if !s.sendTaskNack(conn, wire, step.nack, step.retry, &sentShard) {
+				t.Fatalf("%v %s: reply path gave the connection up", codec, step.name)
+			}
+			if codec == CodecBinary && conn.writes != 1 {
+				t.Errorf("%v %s: %d writes, want 1", codec, step.name, conn.writes)
+			}
+			if got := recv(); !reflect.DeepEqual(got, step.want) {
+				t.Errorf("%v %s: client decoded %+v, want %+v", codec, step.name, got, step.want)
+			}
+			if conn.buf.Len() != 0 {
+				t.Errorf("%v %s: %d bytes beyond the one envelope", codec, step.name, conn.buf.Len())
+			}
+		}
+	}
 }

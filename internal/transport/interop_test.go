@@ -54,19 +54,30 @@ func dialScripted(t *testing.T, addr string, codec Codec) *scriptedWire {
 
 func (w *scriptedWire) send(t *testing.T, msg *ClientMsg) {
 	t.Helper()
-	var err error
-	if w.bin != nil {
-		err = w.bin.writeClientMsg(msg)
-	} else {
-		err = w.enc.Encode(msg)
-	}
-	if err != nil {
+	if err := w.trySend(msg); err != nil {
 		t.Fatalf("scripted send: %v", err)
 	}
 }
 
 func (w *scriptedWire) recv(t *testing.T) *ServerMsg {
 	t.Helper()
+	msg, err := w.tryRecv()
+	if err != nil {
+		t.Fatalf("scripted recv: %v", err)
+	}
+	return msg
+}
+
+// trySend and tryRecv are send and recv for client goroutines, which must
+// not call t.Fatal.
+func (w *scriptedWire) trySend(msg *ClientMsg) error {
+	if w.bin != nil {
+		return w.bin.writeClientMsg(msg)
+	}
+	return w.enc.Encode(msg)
+}
+
+func (w *scriptedWire) tryRecv() (*ServerMsg, error) {
 	var msg ServerMsg
 	var err error
 	if w.bin != nil {
@@ -74,10 +85,7 @@ func (w *scriptedWire) recv(t *testing.T) *ServerMsg {
 	} else {
 		err = w.dec.Decode(&msg)
 	}
-	if err != nil {
-		t.Fatalf("scripted recv: %v", err)
-	}
-	return &msg
+	return &msg, err
 }
 
 // scriptDelta is the deterministic update of client i at step s: honest

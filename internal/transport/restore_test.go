@@ -207,6 +207,20 @@ func TestCheckpointRestoreRoundTripWithoutClients(t *testing.T) {
 			t.Fatalf("restored params %v, want %v", gotParams, wantParams)
 		}
 	}
+	// The first task a restored server hands out is the restored model:
+	// NewServer publishes after the restore, not before it.
+	conn := &captureConn{}
+	sentShard := -1
+	if !restoredServer.sendTask(conn, replyWire(restoredServer, conn, CodecBinary), &sentShard) {
+		t.Fatal("restored server refused to send a task")
+	}
+	var first ServerMsg
+	if _, err := newBinConn(&conn.buf, 0, false).readServerMsg(&first, nil); err != nil {
+		t.Fatal(err)
+	}
+	if first.Task == nil || first.Task.Version != 2 || !sameSlabBits(first.Task.Params, wantParams) {
+		t.Fatalf("first task after restore is %+v, want version 2 with params %v", first.Task, wantParams)
+	}
 	gotStats := restoredServer.Stats()
 	if gotStats.UpdatesReceived != wantStats.UpdatesReceived || gotStats.Accepted != wantStats.Accepted {
 		t.Errorf("restored stats %+v, want %+v", gotStats, wantStats)

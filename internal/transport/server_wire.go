@@ -31,6 +31,9 @@ type serverWire interface {
 	readMsg() (clientFrame, error)
 	// writeMsg transmits one reply in the connection's codec.
 	writeMsg(msg *ServerMsg) error
+	// writeTask transmits a plain task reply (no NACK, no shard push) from
+	// the published model, which it only reads.
+	writeTask(pub *publishedTask) error
 	// oversize reports whether a read failed because the peer exceeded
 	// the byte budget (the connection is condemned).
 	oversize() bool
@@ -73,6 +76,12 @@ func (w *gobServerWire) readMsg() (clientFrame, error) {
 func (w *gobServerWire) writeMsg(msg *ServerMsg) error {
 	//lint:ignore netdeadline forwarding wrapper: Server.send arms the write deadline before every writeMsg
 	return w.enc.Encode(msg)
+}
+
+// writeTask encodes per connection: a gob stream carries its type
+// definitions and encoder state, so no two connections share bytes.
+func (w *gobServerWire) writeTask(pub *publishedTask) error {
+	return w.writeMsg(&ServerMsg{Task: &pub.task})
 }
 func (w *gobServerWire) oversize() bool { return w.lim.tripped() }
 func (w *gobServerWire) codec() Codec   { return CodecGob }
@@ -128,8 +137,13 @@ func (w *binServerWire) readMsg() (clientFrame, error) {
 }
 
 func (w *binServerWire) writeMsg(msg *ServerMsg) error { return w.bin.writeServerMsg(msg) }
-func (w *binServerWire) oversize() bool                { return w.bin.tripped() }
-func (w *binServerWire) codec() Codec                  { return CodecBinary }
+
+// writeTask is one Write of the frame encoded at publish time; the
+// connection's own write scratch is not touched, so it never grows to
+// model size.
+func (w *binServerWire) writeTask(pub *publishedTask) error { return w.bin.writeFrame(pub.frame) }
+func (w *binServerWire) oversize() bool                     { return w.bin.tripped() }
+func (w *binServerWire) codec() Codec                       { return CodecBinary }
 
 // getDeltaVec returns an update-delta buffer of length n: recycled arena
 // memory when n matches the deployment's model dimension, a cold fresh

@@ -41,6 +41,7 @@ import (
 	"net"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/asyncfl/asyncfilter/internal/fl"
@@ -332,6 +333,11 @@ type Server struct {
 	// update returns its memory here (see maybeAggregate).
 	arena *fl.Arena
 
+	// task is the model as clients see it, republished by publishLocked
+	// wherever global or version changes; replies, Version, FinalParams and
+	// the Hello dimension check read it without s.mu.
+	task atomic.Pointer[publishedTask]
+
 	mu           sync.Mutex
 	global       []float64
 	version      int
@@ -375,6 +381,34 @@ type Server struct {
 	// drained is closed when a Drain sequence has finished its flush and
 	// final checkpoint (possibly after the Drain call itself timed out).
 	drained chan struct{}
+}
+
+// publishedTask is one published model state: the Task every reply carries
+// and, pre-encoded once, the complete binary frame of a plain task reply
+// (no NACK, no shard push — see taskFrame), which every binary connection
+// writes as it stands.
+//
+// Immutable from the moment it is stored in Server.task: Params and frame
+// are the value's own memory (a copy of the live model, which the next
+// commit mutates in place, and its encoding), so any number of handlers
+// may read and write them out concurrently with no lock, and nobody —
+// encoders included — may write to either. A handler that is mid-write
+// when the model moves on keeps the one old value it loaded alive until
+// that write returns (WriteTimeout bounds it); the GC then collects it.
+type publishedTask struct {
+	task  Task
+	frame []byte
+}
+
+// publishLocked republishes the model after global or version changed.
+// It is the only writer of s.task and runs in the same critical section
+// as the change (callers hold s.mu; NewServer, which nothing else can
+// reach yet, excepted), so the published version always equals s.version
+// and its params are always that version's.
+func (s *Server) publishLocked() {
+	pub := &publishedTask{task: Task{Version: s.version, Params: vecmath.Clone(s.global)}}
+	pub.frame = taskFrame(&pub.task)
+	s.task.Store(pub)
 }
 
 // ServerStats summarizes a finished deployment.
@@ -457,6 +491,7 @@ func NewServer(cfg ServerConfig, filter fl.Filter, combiner fl.Combiner) (*Serve
 			return nil, err
 		}
 	}
+	s.publishLocked()
 	// Observability wires up after any restore so the sinks observe the
 	// live buffer and filter rather than pre-restore instances.
 	if cfg.Obsv != nil {
@@ -607,16 +642,12 @@ func (s *Server) closeNetwork() error {
 
 // FinalParams returns a copy of the current global parameters.
 func (s *Server) FinalParams() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return vecmath.Clone(s.global)
+	return vecmath.Clone(s.task.Load().task.Params)
 }
 
 // Version returns the current global model version.
 func (s *Server) Version() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
+	return s.task.Load().task.Version
 }
 
 // Stats returns the lifetime counters.
@@ -781,14 +812,11 @@ func (s *Server) handle(conn net.Conn) {
 // admitHello reports whether a Hello's advertised model dimension is
 // compatible with the live global model (0 = not advertised, accepted).
 func (s *Server) admitHello(h *Hello) bool {
-	if h.ModelDim == 0 {
+	if h.ModelDim == 0 || h.ModelDim == len(s.task.Load().task.Params) {
 		return true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h.ModelDim == len(s.global) {
-		return true
-	}
 	s.stats.DroppedMalformed++
 	s.stats.NacksSent++
 	return false
@@ -819,10 +847,15 @@ func (s *Server) heartbeat(sess *clientSession) bool {
 // send transmits one server message under the write deadline, reporting
 // whether the connection is still usable. Never called with s.mu held.
 func (s *Server) send(conn net.Conn, wire serverWire, msg *ServerMsg) bool {
+	s.armWrite(conn)
+	return wire.writeMsg(msg) == nil
+}
+
+// armWrite refreshes the write deadline before a reply goes out.
+func (s *Server) armWrite(conn net.Conn) {
 	if s.cfg.WriteTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
-	return wire.writeMsg(msg) == nil
 }
 
 // armRead refreshes the read deadline before a blocking decode.
@@ -882,19 +915,29 @@ func (s *Server) sendTask(conn net.Conn, wire serverWire, sentShard *int) bool {
 
 // sendTaskNack transmits an optional NACK together with the latest model
 // in one envelope (or Done/Goodbye when the deployment ended). It reports
-// whether the connection should stay open.
+// whether the connection should stay open. The model is the published
+// one, never a copy: a plain task — the reply to nearly every update —
+// goes out as the wire's writeTask (for a binary connection one Write of
+// the shared frame), and a reply that also carries a NACK or a shard push
+// is encoded for this connection from the same published params.
+//
+//afl:hotpath
 func (s *Server) sendTaskNack(conn net.Conn, wire serverWire, nack NackCode, retryAfter time.Duration, sentShard *int) bool {
 	s.mu.Lock()
 	finished := s.finished
 	draining := s.draining
-	task := Task{Version: s.version, Params: vecmath.Clone(s.global)}
+	pub := s.task.Load()
 	shards, sv := s.shardPushLocked(sentShard)
 	s.mu.Unlock()
 	if finished || draining {
 		s.send(conn, wire, &ServerMsg{Done: finished && !draining, Goodbye: draining, Shards: shards, ShardVersion: sv})
 		return false
 	}
-	return s.send(conn, wire, &ServerMsg{Task: &task, Nack: nack, RetryAfter: retryAfter, Shards: shards, ShardVersion: sv})
+	if nack == 0 && shards == nil {
+		s.armWrite(conn)
+		return wire.writeTask(pub) == nil
+	}
+	return s.send(conn, wire, &ServerMsg{Task: &pub.task, Nack: nack, RetryAfter: retryAfter, Shards: shards, ShardVersion: sv})
 }
 
 // forceMode distinguishes why an aggregation round was forced below the
@@ -956,6 +999,7 @@ func (s *Server) maybeAggregate(force forceMode) {
 
 		s.mu.Lock()
 		s.version = s.engine.Commit(&rd, s.global, s.buffer)
+		s.publishLocked()
 		s.stats.Rounds = s.version
 		s.stats.Accepted += len(rd.Accepted)
 		s.stats.Deferred += len(rd.Deferred)

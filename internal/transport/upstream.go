@@ -226,6 +226,7 @@ func (s *Server) AdoptGlobal(params []float64) error {
 		return fmt.Errorf("transport: AdoptGlobal: %d params, model has %d", len(clone), len(s.global))
 	}
 	s.global = clone
+	s.publishLocked()
 	return nil
 }
 

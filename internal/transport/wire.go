@@ -148,19 +148,32 @@ func (c *binConn) begin() []byte {
 	return c.wbuf[:frameHeaderLen]
 }
 
-// flush stamps the header and writes the frame (preceded by the one-shot
-// preamble on an initiator). b must have come from begin() + appends.
-func (c *binConn) flush(kind byte, b []byte) error {
-	c.wbuf = b[:0]
+// stampFrame fills in the header of a frame laid out as frameHeaderLen
+// reserved bytes followed by the payload.
+func stampFrame(kind byte, b []byte) {
 	b[0] = kind
 	binary.LittleEndian.PutUint32(b[1:frameHeaderLen], uint32(len(b)-frameHeaderLen))
+}
+
+// flush stamps the header and writes the frame. b must have come from
+// begin() + appends.
+func (c *binConn) flush(kind byte, b []byte) error {
+	c.wbuf = b[:0]
+	stampFrame(kind, b)
+	return c.writeFrame(b)
+}
+
+// writeFrame writes one complete, already stamped frame in a single
+// Write (preceded by the one-shot preamble on an initiator). The frame is
+// only read, so one published frame may be written to many connections.
+func (c *binConn) writeFrame(frame []byte) error {
 	if c.sendPreamble {
 		c.sendPreamble = false
 		if _, err := c.w.Write(binaryPreamble[:]); err != nil {
 			return err
 		}
 	}
-	_, err := c.w.Write(b)
+	_, err := c.w.Write(frame)
 	return err
 }
 
@@ -385,17 +398,32 @@ func (c *binConn) writeClientMsg(msg *ClientMsg) error {
 func (c *binConn) writeServerMsg(msg *ServerMsg) error {
 	switch {
 	case msg.Task != nil && !msg.Pong && !msg.Done && !msg.Goodbye && msg.Shards == nil && msg.ShardVersion == 0:
-		b := c.begin()
-		b = appendI64(b, msg.Task.Version)
-		b = appendI64(b, int(msg.Nack))
-		b = appendI64(b, int(msg.RetryAfter))
-		b = appendF64s(b, msg.Task.Params)
-		return c.flush(frameTask, b)
+		return c.flush(frameTask, appendTaskPayload(c.begin(), msg.Task, msg.Nack, msg.RetryAfter))
 	case msg.Pong && msg.Task == nil && msg.Nack == 0 && !msg.Done && !msg.Goodbye && msg.Shards == nil && msg.ShardVersion == 0:
 		return c.flush(framePong, c.begin())
 	default:
 		return c.flushGob(msg)
 	}
+}
+
+// appendTaskPayload writes a frameTask payload: version, nack, retry-after
+// and the parameter slab. It is the one definition of that layout, shared
+// by the per-connection encode above and the published frame below.
+func appendTaskPayload(b []byte, task *Task, nack NackCode, retryAfter time.Duration) []byte {
+	b = appendI64(b, task.Version)
+	b = appendI64(b, int(nack))
+	b = appendI64(b, int(retryAfter))
+	return appendF64s(b, task.Params)
+}
+
+// taskFrame builds the complete frame of a plain task reply (no NACK, no
+// retry hint): byte for byte what writeServerMsg(&ServerMsg{Task: task})
+// puts on the wire, in a buffer of its own.
+func taskFrame(task *Task) []byte {
+	b := make([]byte, frameHeaderLen, frameHeaderLen+3*8+8*len(task.Params))
+	b = appendTaskPayload(b, task, 0, 0)
+	stampFrame(frameTask, b)
+	return b
 }
 
 // readServerMsg decodes the next server->client envelope (client side)
