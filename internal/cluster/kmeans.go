@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/asyncfl/asyncfilter/internal/vecmath"
 )
@@ -218,59 +217,183 @@ func sqDist(a, b []float64) float64 {
 // KMeans1D clusters scalar values into k groups. For the small inputs the
 // filter sees (tens of suspicion scores) it runs k-means++ with restarts
 // and deterministic ordering: returned clusters are sorted by ascending
-// center so cluster 0 is always the lowest-score group.
+// center so cluster 0 is always the lowest-score group, empty clusters
+// last. Centers[c] holds the one coordinate of cluster c's center.
 func KMeans1D(values []float64, k int, r *rand.Rand, opts Options) (*Result, error) {
-	points := make([][]float64, len(values))
-	for i, v := range values {
-		points[i] = []float64{v}
+	return new(Scalar).KMeans1D(values, k, r, opts)
+}
+
+// Scalar is KMeans1D's working memory. A caller that clusters every round
+// keeps one: once its buffers fit the largest input seen, a call allocates
+// nothing. The Result a call returns, slices included, belongs to the
+// Scalar and is overwritten by its next call. The zero value is ready.
+type Scalar struct {
+	ints   []int
+	floats []float64
+	heads  [][]float64
+	res    Result
+}
+
+// scalarRun is one restart's clustering over flat scratch.
+type scalarRun struct {
+	assign  []int
+	centers []float64
+	sizes   []int
+	inertia float64
+	iter    int
+}
+
+// KMeans1D is KMeans on 1-vectors spelled out for scalars — the same draws
+// from r in the same order, the same floating-point operations (the
+// squared distance of two 1-vectors is exactly d*d), the same restarts and
+// tie-breaks — so the two agree bit for bit (TestKMeans1DMatchesGeneric).
+func (s *Scalar) KMeans1D(values []float64, k int, r *rand.Rand, opts Options) (*Result, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("cluster: KMeans1D: k = %d, need >= 1", k)
+	}
+	n := len(values)
+	if n == 0 {
+		return nil, fmt.Errorf("cluster: KMeans1D: no values")
 	}
 	if opts.Restarts == 0 {
 		opts.Restarts = 5 // cheap in 1-D, avoids bad local minima
 	}
-	res, err := KMeans(points, k, r, opts)
-	if err != nil {
-		return nil, err
-	}
-	sortClustersByCenter(res)
-	return res, nil
-}
+	opts = opts.withDefaults()
 
-// sortClustersByCenter relabels clusters so centers ascend by their first
-// coordinate. Empty clusters sort last.
-func sortClustersByCenter(res *Result) {
-	k := len(res.Centers)
-	order := make([]int, k)
+	if need := 2*n + 4*k; cap(s.ints) < need {
+		s.ints = make([]int, need)
+	}
+	if need := n + 3*k; cap(s.floats) < need {
+		s.floats = make([]float64, need)
+	}
+	if cap(s.heads) < k {
+		s.heads = make([][]float64, k)
+	}
+	ints, floats := s.ints, s.floats
+	cur := scalarRun{assign: ints[:n], sizes: ints[2*n : 2*n+k], centers: floats[:k]}
+	best := scalarRun{assign: ints[n : 2*n], sizes: ints[2*n+k : 2*n+2*k], centers: floats[k : 2*k]}
+	order, relabel := ints[2*n+2*k:2*n+3*k], ints[2*n+3*k:2*n+4*k]
+	sums, seedDist := floats[2*k:3*k], floats[3*k:3*k+n]
+
+	for restart := 0; restart < opts.Restarts; restart++ {
+		cur.lloyd(values, r, opts, sums, seedDist)
+		if restart == 0 || cur.inertia < best.inertia {
+			cur, best = best, cur
+		}
+	}
+
+	// Relabel so centers ascend, empty clusters last in index order. An
+	// insertion sort is stable, and is what sort.SliceStable runs on so few
+	// elements.
+	less := func(a, b int) bool {
+		if best.sizes[a] == 0 || best.sizes[b] == 0 {
+			return best.sizes[b] == 0 && (best.sizes[a] != 0 || a < b)
+		}
+		return best.centers[a] < best.centers[b]
+	}
 	for i := range order {
 		order[i] = i
+		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := order[a], order[b]
-		if res.Sizes[ca] == 0 && res.Sizes[cb] == 0 {
-			return ca < cb
-		}
-		if res.Sizes[ca] == 0 {
-			return false
-		}
-		if res.Sizes[cb] == 0 {
-			return true
-		}
-		return res.Centers[ca][0] < res.Centers[cb][0]
-	})
-	relabel := make([]int, k)
+	// The losing run's buffers are free: the relabelled centers and sizes
+	// go there.
 	for newIdx, oldIdx := range order {
 		relabel[oldIdx] = newIdx
+		cur.centers[newIdx] = best.centers[oldIdx]
+		cur.sizes[newIdx] = best.sizes[oldIdx]
 	}
-	newCenters := make([][]float64, k)
-	newSizes := make([]int, k)
-	for oldIdx, newIdx := range relabel {
-		newCenters[newIdx] = res.Centers[oldIdx]
-		newSizes[newIdx] = res.Sizes[oldIdx]
+	for i, a := range best.assign {
+		best.assign[i] = relabel[a]
 	}
-	for i, a := range res.Assignments {
-		res.Assignments[i] = relabel[a]
+	heads := s.heads[:k]
+	for c := range heads {
+		heads[c] = cur.centers[c : c+1 : c+1]
 	}
-	res.Centers = newCenters
-	res.Sizes = newSizes
+	s.res = Result{Assignments: best.assign, Centers: heads, Sizes: cur.sizes, Inertia: best.inertia, Iterations: best.iter}
+	return &s.res, nil
+}
+
+// lloyd is kmeansOnce for scalars: k-means++ seeding, then Lloyd
+// iterations. Centers the seeding could not place (fewer distinct values
+// than k) are a suffix; they attract nothing and end as zero.
+func (run *scalarRun) lloyd(values []float64, r *rand.Rand, opts Options, sums, seedDist []float64) {
+	seeded := seedPlusPlus1D(run.centers, values, r, seedDist)
+	centers, unseeded := run.centers[:seeded], run.centers[seeded:]
+	run.iter = 0
+	for ; run.iter < opts.MaxIterations; run.iter++ {
+		run.inertia = 0
+		for c := range run.sizes {
+			run.sizes[c], sums[c] = 0, 0
+		}
+		for i, v := range values {
+			bestC, bestD := 0, math.Inf(1)
+			for c, center := range centers {
+				d := v - center
+				if dd := float64(d * d); dd < bestD {
+					bestC, bestD = c, dd
+				}
+			}
+			run.assign[i] = bestC
+			run.inertia += bestD
+			run.sizes[bestC]++
+			sums[bestC] += v
+		}
+		var moved float64
+		for c, center := range centers {
+			if run.sizes[c] == 0 {
+				continue // keeps its center; it may capture points later
+			}
+			mean := sums[c] * (1 / float64(run.sizes[c]))
+			d := center - mean
+			moved += math.Sqrt(float64(d * d))
+			centers[c] = mean
+		}
+		if moved < opts.Tolerance {
+			run.iter++
+			break
+		}
+	}
+	for c := range unseeded {
+		unseeded[c] = 0
+	}
+}
+
+// seedPlusPlus1D is seedPlusPlus for scalars. It fills a prefix of centers
+// and returns its length, short of len(centers) when every value already
+// coincides with a chosen center.
+func seedPlusPlus1D(centers, values []float64, r *rand.Rand, dists []float64) int {
+	centers[0] = values[r.Intn(len(values))]
+	for c := 1; c < len(centers); c++ {
+		var total float64
+		for i, v := range values {
+			best := math.Inf(1)
+			for _, center := range centers[:c] {
+				d := v - center
+				if dd := float64(d * d); dd < best {
+					best = dd
+				}
+			}
+			dists[i] = best
+			total += best
+		}
+		if vecmath.IsZero(total) {
+			return c
+		}
+		u := r.Float64() * total
+		var acc float64
+		idx := len(values) - 1
+		for i, d := range dists {
+			acc += d
+			if u < acc {
+				idx = i
+				break
+			}
+		}
+		centers[c] = values[idx]
+	}
+	return len(centers)
 }
 
 // Silhouette returns the mean silhouette coefficient of a clustering, a

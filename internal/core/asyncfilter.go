@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/asyncfl/asyncfilter/internal/cluster"
 	"github.com/asyncfl/asyncfilter/internal/fl"
@@ -177,10 +178,43 @@ type AsyncFilter struct {
 	lastScores []float64
 	rounds     int
 
+	scratch roundScratch
+
 	// obs, when non-nil, receives one DecisionEvent per update and one
 	// FilterRoundEvent per Filter call. Emission is purely observational
 	// and never alters verdicts, estimator folding or RNG consumption.
 	obs fl.FilterObserver
+}
+
+// roundScratch is the working set of one Filter round. The filter owns
+// it and reuses it, so a steady-state round allocates only what escapes to
+// the caller (FilterResult's Decisions and Scores). Per-group state is
+// indexed by slot: the round's live groups in ascending staleness, which
+// is also the order of every per-group loop.
+type roundScratch struct {
+	keys     []int         // slot -> staleness key
+	ests     []estimator   // slot -> live estimator
+	refs     [][]float64   // slot -> the estimate its members are scored against, nil until asked for
+	pooled   []float64     // the batch mean, nil until a round falls through to it
+	slotOf   []int         // update -> slot
+	dists    []float64     // update -> distance to its slot's reference
+	gathered []float64     // one slot's distances, for its median
+	folded   []int         // the updates folded into the current group (colluder dedup)
+	sum      []float64     // their sum, under EstimatorEWMA
+	eligible []bool        // cluster -> passes the rejection guard
+	pre      []fl.Decision // pre-amnesty verdicts, kept for an observer only
+	km       cluster.Scalar
+}
+
+// grow returns buf resliced to n elements with unspecified contents,
+// reallocating only when its capacity is too small.
+//
+//afl:pooled
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 type estimator interface {
@@ -189,15 +223,9 @@ type estimator interface {
 	Count() int
 }
 
-// batchEstimator wraps a cumulative vector mean; with EstimatorBatch the
-// filter rebuilds one per round, with EstimatorMA it persists per group.
-type batchEstimator struct {
-	ma *stats.VectorMA
-}
-
-func (b *batchEstimator) Add(x []float64) { b.ma.Add(x) }
-func (b *batchEstimator) Mean() []float64 { return b.ma.Mean() }
-func (b *batchEstimator) Count() int      { return b.ma.Count() }
+// *stats.VectorMA, the cumulative vector mean, is the estimator of both
+// EstimatorMA (one per group, kept) and EstimatorBatch (rebuilt per round).
+var _ estimator = (*stats.VectorMA)(nil)
 
 // ewmaEstimator wraps stats.EWMA with an observation counter.
 type ewmaEstimator struct {
@@ -241,19 +269,17 @@ var (
 func (f *AsyncFilter) SetObserver(obs fl.FilterObserver) { f.obs = obs }
 
 // emit publishes one decision event per update plus the round summary.
-// decisions == nil means every update was accepted; assign == nil means
-// the batch was never clustered (events carry cluster -1); pre holds the
-// pre-amnesty verdicts so amnesty flips are visible in the events.
-func (f *AsyncFilter) emit(round int, updates []*fl.Update, groupOf []int, scores []float64, assign []int, decisions, pre []fl.Decision, wholesale bool) {
+// assign == nil means the batch was never clustered (events carry cluster
+// -1); pre holds the pre-amnesty verdicts so amnesty flips are visible in
+// the events.
+func (f *AsyncFilter) emit(round int, updates []*fl.Update, res fl.FilterResult, assign []int, pre []fl.Decision, wholesale bool) {
 	if f.obs == nil {
 		return
 	}
+	s := &f.scratch
 	var acc, def, rej int
 	for i, u := range updates {
-		d := fl.Accept
-		if decisions != nil {
-			d = decisions[i]
-		}
+		d := res.Decisions[i]
 		switch d {
 		case fl.Defer:
 			def++
@@ -269,9 +295,9 @@ func (f *AsyncFilter) emit(round int, updates []*fl.Update, groupOf []int, score
 		f.obs.ObserveDecision(fl.DecisionEvent{
 			Round:    round,
 			ClientID: u.ClientID,
-			Group:    groupOf[i],
+			Group:    s.keys[s.slotOf[i]],
 			Cluster:  cl,
-			Score:    scores[i],
+			Score:    res.Scores[i],
 			Decision: d,
 			Amnesty:  pre != nil && pre[i] != d,
 		})
@@ -282,7 +308,7 @@ func (f *AsyncFilter) emit(round int, updates []*fl.Update, groupOf []int, score
 		Accepted:  acc,
 		Deferred:  def,
 		Rejected:  rej,
-		Groups:    len(f.groups),
+		Groups:    len(s.keys),
 		Wholesale: wholesale,
 	})
 }
@@ -320,11 +346,14 @@ func (f *AsyncFilter) newEstimator() estimator {
 		}
 		return &ewmaEstimator{e: e}
 	default:
-		return &batchEstimator{ma: stats.NewVectorMA(f.dim)}
+		return stats.NewVectorMA(f.dim)
 	}
 }
 
-// Filter implements fl.Filter, running the three AsyncFilter steps.
+// Filter implements fl.Filter, running the three AsyncFilter steps. Each
+// update vector is streamed twice — once for its distance to the pre-batch
+// estimate, once more when it is folded — and everything else works on the
+// round's scratch.
 //
 //afl:hotpath
 func (f *AsyncFilter) Filter(updates []*fl.Update, round int) (fl.FilterResult, error) {
@@ -341,31 +370,15 @@ func (f *AsyncFilter) Filter(updates []*fl.Update, round int) (fl.FilterResult, 
 			return fl.FilterResult{}, fmt.Errorf("core: Filter: update %d has dim %d, want %d", i, len(u.Delta), f.dim)
 		}
 	}
+	s := &f.scratch
 
 	// Step 1: group by staleness (Eq. 4).
-	groupOf := make([]int, n)
-	live := f.groups
+	f.groupRound(updates)
 	if f.cfg.Estimator == EstimatorBatch {
-		// Ablation: per-round estimators with no cross-round memory.
-		live = make(map[int]estimator)
-	}
-	members := make(map[int][]*fl.Update)
-	for i, u := range updates {
-		k := f.groupKey(u)
-		groupOf[i] = k
-		members[k] = append(members[k], u)
-		if _, ok := live[k]; !ok {
-			live[k] = f.newEstimator()
-		}
-	}
-
-	// Batch-only estimators fold the whole (unfiltered) batch: they have
-	// no cross-round state to protect.
-	if f.cfg.Estimator == EstimatorBatch {
-		for k, est := range live {
-			for _, u := range members[k] {
-				est.Add(u.Delta)
-			}
+		// Batch-only estimators fold the whole (unfiltered) batch: they
+		// have no cross-round state to protect.
+		for i, u := range updates {
+			s.ests[s.slotOf[i]].Add(u.Delta)
 		}
 	}
 
@@ -374,95 +387,34 @@ func (f *AsyncFilter) Filter(updates []*fl.Update, round int) (fl.FilterResult, 
 	// state from BEFORE this batch, so crafted updates cannot drag the
 	// estimate toward themselves in the round they arrive; the estimators
 	// are extended with the accepted updates only, after the verdicts
-	// (see fold below). Groups with fewer than two past observations have
-	// a degenerate or missing estimate and fall back to the pooled batch
-	// mean.
-	pooled := stats.NewVectorMA(f.dim)
-	for _, u := range updates {
-		pooled.Add(u.Delta)
-	}
-	//lint:ignore hotalloc per-round distance scratch sized by the batch; first target of the ROADMAP item 2 arena
-	dists := make([]float64, n)
+	// (see fold below).
+	s.refs = grow(s.refs, len(s.keys))
+	clear(s.refs)
+	s.pooled = nil
+	s.dists = grow(s.dists, n)
 	for i, u := range updates {
-		//lint:ignore hotalloc the reference mean is a fresh vector per group until the arena lands (ROADMAP item 2)
-		ref := f.referenceMean(live, groupOf[i], pooled)
-		dists[i] = vecmath.Distance(ref, u.Delta)
+		g := s.slotOf[i]
+		if s.refs[g] == nil {
+			s.refs[g] = f.referenceMean(g, updates)
+		}
+		s.dists[i] = vecmath.Distance(s.refs[g], u.Delta)
 	}
-	//lint:ignore hotalloc scores escape through LastScores and the observer, so the round must own a fresh slice (ROADMAP item 2)
-	scores := f.normalize(updates, dists, live, groupOf)
-	f.lastScores = scores
-
-	// fold extends the persistent estimators with the non-rejected
-	// updates (EstimatorBatch has no persistent state and skips this).
-	// Duplicate deltas from different clients are folded once: colluding
-	// attackers all transmit the same crafted vector (LIE, Min-Max and
-	// Min-Sum do), and folding it per-sender would let the collusion drag
-	// the group estimate toward the poison with k times its fair weight.
-	fold := func(decisions []fl.Decision) {
-		if f.cfg.Estimator == EstimatorBatch {
-			return
-		}
-		folded := make(map[int][][]float64)
-		dedup := func(k int, x []float64) bool {
-			for _, prev := range folded[k] {
-				if vecmath.EqualApprox(prev, x, 1e-12) {
-					return true
-				}
-			}
-			folded[k] = append(folded[k], x)
-			return false
-		}
-		if f.cfg.Estimator == EstimatorEWMA {
-			// EWMA is an across-rounds smoother: fold one observation per
-			// round (the group's accepted batch mean) so in-batch arrival
-			// order cannot bias the estimate.
-			sums := make(map[int][]float64)
-			counts := make(map[int]int)
-			for i, u := range updates {
-				if decisions != nil && decisions[i] == fl.Reject {
-					continue
-				}
-				k := groupOf[i]
-				if dedup(k, u.Delta) {
-					continue
-				}
-				if sums[k] == nil {
-					//lint:ignore hotalloc one accumulator per live staleness group per round; pooled once arenas land (ROADMAP item 2)
-					sums[k] = make([]float64, f.dim)
-				}
-				vecmath.Add(sums[k], sums[k], u.Delta)
-				counts[k]++
-			}
-			for k, sum := range sums {
-				vecmath.Scale(sum, 1/float64(counts[k]), sum)
-				live[k].Add(sum)
-			}
-			return
-		}
-		for i, u := range updates {
-			if decisions != nil && decisions[i] == fl.Reject {
-				continue
-			}
-			k := groupOf[i]
-			if dedup(k, u.Delta) {
-				continue
-			}
-			live[k].Add(u.Delta)
-		}
-	}
+	// The verdicts and scores escape to the caller, LastScores and the
+	// observer, so they alone are fresh every round.
+	res := fl.AcceptAllScored(n)
+	f.normalize(res.Scores, updates)
+	f.lastScores = res.Scores
 
 	// Small batches cannot support K clusters; accept wholesale.
 	if n < f.cfg.MinBatch {
-		fold(nil)
-		res := fl.AcceptAll(n)
-		res.Scores = scores
-		f.emit(round, updates, groupOf, scores, nil, nil, nil, true)
+		f.fold(updates, res.Decisions)
+		f.emit(round, updates, res, nil, nil, true)
 		return res, nil
 	}
 
 	// Step 3: K-means over scores; highest cluster rejected, lowest
 	// accepted, middle per policy.
-	km, err := cluster.KMeans1D(scores, f.cfg.K, f.rng, cluster.Options{})
+	km, err := s.km.KMeans1D(res.Scores, f.cfg.K, f.rng, cluster.Options{})
 	if err != nil {
 		return fl.FilterResult{}, fmt.Errorf("core: Filter: clustering: %w", err)
 	}
@@ -479,61 +431,154 @@ func (f *AsyncFilter) Filter(updates []*fl.Update, round int) (fl.FilterResult, 
 		}
 		highest = c
 	}
-	decisions := make([]fl.Decision, n)
 	if lowest == highest {
 		// All scores in one cluster: indistinguishable, accept everything.
-		for i := range decisions {
-			decisions[i] = fl.Accept
-		}
-		fold(nil)
-		f.emit(round, updates, groupOf, scores, km.Assignments, decisions, nil, false)
-		return fl.FilterResult{Decisions: decisions, Scores: scores}, nil
+		f.fold(updates, res.Decisions)
+		f.emit(round, updates, res, km.Assignments, nil, false)
+		return res, nil
 	}
 
-	// Rejection guard: k-means always yields K clusters, even on pure
-	// noise, so a cluster receives a non-accept verdict only when it is
-	// statistically separated from the clusters below it: its center must
-	// sit RejectThreshold standard deviations above their mean.
-	eligible := func(c int) bool {
-		var below stats.Welford
-		for i, s := range scores {
-			if km.Assignments[i] < c {
-				below.Add(s)
-			}
-		}
-		// The clusters below must hold a majority of the batch: the
-		// benign population is assumed to outnumber the attackers, so a
-		// cluster that towers over only a small minority is not evidence
-		// of an attack (it usually means the batch's bulk is above it).
-		if below.N() < 2 || below.N() <= n/2 {
-			return false
-		}
-		sd := below.StdDev()
-		if vecmath.IsZero(sd) {
-			// Identical lower scores: any strictly larger center separates.
-			return km.Centers[c][0] > below.Mean()
-		}
-		return km.Centers[c][0] >= below.Mean()+f.cfg.RejectThreshold*sd
+	s.eligible = grow(s.eligible, f.cfg.K)
+	for c := range s.eligible {
+		s.eligible[c] = c != lowest && km.Sizes[c] > 0 && f.guardPasses(c, res.Scores, km)
 	}
-	for i := range updates {
-		c := km.Assignments[i]
+	for i, c := range km.Assignments {
 		switch {
-		case c == lowest || !eligible(c):
-			decisions[i] = fl.Accept
+		case !s.eligible[c]:
 		case c == highest:
-			decisions[i] = fl.Reject
+			res.Decisions[i] = fl.Reject
 		default:
-			decisions[i] = f.cfg.MiddlePolicy
+			res.Decisions[i] = f.cfg.MiddlePolicy
 		}
 	}
 	var preAmnesty []fl.Decision
 	if f.obs != nil {
-		preAmnesty = append([]fl.Decision(nil), decisions...)
+		s.pre = append(s.pre[:0], res.Decisions...)
+		preAmnesty = s.pre
 	}
-	f.applyAmnesty(updates, decisions)
-	fold(decisions)
-	f.emit(round, updates, groupOf, scores, km.Assignments, decisions, preAmnesty, false)
-	return fl.FilterResult{Decisions: decisions, Scores: scores}, nil
+	f.applyAmnesty(updates, res.Decisions)
+	f.fold(updates, res.Decisions)
+	f.emit(round, updates, res, km.Assignments, preAmnesty, false)
+	return res, nil
+}
+
+// groupRound fills the round's slot table. Every live group gets a slot —
+// under the persistent estimators that is every group the filter tracks,
+// in this batch or not, since an absent neighbour can still serve as a
+// reference — and every staleness key seen for the first time gets a
+// fresh estimator. EstimatorBatch is the ablation with no cross-round
+// memory: its live groups are this batch's, with new estimators each
+// round.
+func (f *AsyncFilter) groupRound(updates []*fl.Update) {
+	s := &f.scratch
+	persistent := f.cfg.Estimator != EstimatorBatch
+	s.keys = s.keys[:0]
+	if persistent {
+		for k := range f.groups {
+			s.keys = append(s.keys, k)
+		}
+	}
+	for _, u := range updates {
+		k := f.groupKey(u)
+		if slices.Contains(s.keys, k) {
+			continue
+		}
+		s.keys = append(s.keys, k)
+		if persistent {
+			f.groups[k] = f.newEstimator()
+		}
+	}
+	slices.Sort(s.keys)
+	s.ests = s.ests[:0]
+	for _, k := range s.keys {
+		if persistent {
+			s.ests = append(s.ests, f.groups[k])
+		} else {
+			s.ests = append(s.ests, f.newEstimator())
+		}
+	}
+	s.slotOf = grow(s.slotOf, len(updates))
+	for i, u := range updates {
+		s.slotOf[i], _ = slices.BinarySearch(s.keys, f.groupKey(u))
+	}
+}
+
+// guardPasses is the rejection guard: k-means always yields K clusters,
+// even on pure noise, so cluster c receives a non-accept verdict only when
+// it is statistically separated from the clusters below it: its center
+// must sit RejectThreshold standard deviations above their mean.
+func (f *AsyncFilter) guardPasses(c int, scores []float64, km *cluster.Result) bool {
+	var below stats.Welford
+	for i, s := range scores {
+		if km.Assignments[i] < c {
+			below.Add(s)
+		}
+	}
+	// The clusters below must hold a majority of the batch: the benign
+	// population is assumed to outnumber the attackers, so a cluster that
+	// towers over only a small minority is not evidence of an attack (it
+	// usually means the batch's bulk is above it).
+	if below.N() < 2 || below.N() <= len(scores)/2 {
+		return false
+	}
+	sd := below.StdDev()
+	if vecmath.IsZero(sd) {
+		// Identical lower scores: any strictly larger center separates.
+		return km.Centers[c][0] > below.Mean()
+	}
+	return km.Centers[c][0] >= below.Mean()+f.cfg.RejectThreshold*sd
+}
+
+// fold extends the persistent estimators with the non-rejected updates
+// (EstimatorBatch has no persistent state and skips this), one group at a
+// time, each in arrival order. Duplicate deltas from different clients are
+// folded once:
+// colluding attackers all transmit the same crafted vector (LIE, Min-Max
+// and Min-Sum do), and folding it per-sender would let the collusion drag
+// the group estimate toward the poison with k times its fair weight.
+func (f *AsyncFilter) fold(updates []*fl.Update, decisions []fl.Decision) {
+	if f.cfg.Estimator == EstimatorBatch {
+		return
+	}
+	s := &f.scratch
+	ewma := f.cfg.Estimator == EstimatorEWMA
+	s.folded = grow(s.folded, len(updates))
+	for g, est := range s.ests {
+		s.folded = s.folded[:0]
+		for i, u := range updates {
+			if s.slotOf[i] != g || decisions[i] == fl.Reject || s.alreadyFolded(updates, i) {
+				continue
+			}
+			s.folded = append(s.folded, i)
+			if !ewma {
+				est.Add(u.Delta)
+				continue
+			}
+			// EWMA is an across-rounds smoother: it folds one observation
+			// per round (the group's accepted batch mean) so in-batch
+			// arrival order cannot bias the estimate.
+			if len(s.folded) == 1 {
+				s.sum = grow(s.sum, f.dim)
+				vecmath.Fill(s.sum, 0)
+			}
+			vecmath.Add(s.sum, s.sum, u.Delta)
+		}
+		if ewma && len(s.folded) > 0 {
+			vecmath.Scale(s.sum, 1/float64(len(s.folded)), s.sum)
+			est.Add(s.sum)
+		}
+	}
+}
+
+// alreadyFolded reports whether update i repeats, to within 1e-12 per
+// coordinate, a vector already folded into its group this round.
+func (s *roundScratch) alreadyFolded(updates []*fl.Update, i int) bool {
+	for _, j := range s.folded {
+		if vecmath.EqualApprox(updates[j].Delta, updates[i].Delta, 1e-12) {
+			return true
+		}
+	}
+	return false
 }
 
 // applyAmnesty enforces the rejection cooldown: clients holding an
@@ -558,99 +603,109 @@ func (f *AsyncFilter) applyAmnesty(updates []*fl.Update, decisions []fl.Decision
 	}
 }
 
-// referenceMean picks the estimate an update in group k is scored
+// referenceMean picks the estimate the members of slot g are scored
 // against: the group's own estimator when it has history, otherwise the
-// estimator of the nearest staleness group (model drift is smooth in
-// staleness, so a neighbouring group is a far better reference than the
-// whole batch), otherwise the pooled batch mean. Two neighbours at the
-// same distance tie toward the lower (fresher) staleness, so the verdicts
-// do not depend on map iteration order.
-func (f *AsyncFilter) referenceMean(live map[int]estimator, k int, pooled *stats.VectorMA) []float64 {
-	if est := live[k]; est != nil && est.Count() >= 2 {
-		return est.Mean()
+// estimator of the nearest staleness group that has (model drift is smooth
+// in staleness, so a neighbouring group is a far better reference than the
+// whole batch; of two neighbours at the same distance the lower, fresher
+// one wins, which scanning slots in ascending staleness gives for free),
+// otherwise the pooled batch mean. That last case needs no live group to
+// have two observations — the first round of a filter's life and hardly
+// ever again — so the pooled mean, one more pass over every update, is
+// computed only when a round gets here.
+func (f *AsyncFilter) referenceMean(g int, updates []*fl.Update) []float64 {
+	s := &f.scratch
+	if s.ests[g].Count() >= 2 {
+		return s.ests[g].Mean()
 	}
-	bestDist, bestK := -1, 0
-	var best estimator
-	for kk, est := range live {
+	nearest, nearestDist := -1, 0
+	for j, est := range s.ests {
 		if est.Count() < 2 {
 			continue
 		}
-		d := kk - k
+		d := s.keys[j] - s.keys[g]
 		if d < 0 {
 			d = -d
 		}
-		if bestDist == -1 || d < bestDist || (d == bestDist && kk < bestK) {
-			bestDist, bestK = d, kk
-			best = est
+		if nearest == -1 || d < nearestDist {
+			nearest, nearestDist = j, d
 		}
 	}
-	if best != nil {
-		return best.Mean()
+	if nearest != -1 {
+		return s.ests[nearest].Mean()
 	}
-	return pooled.Mean()
+	if s.pooled == nil {
+		var pooled estimator = stats.NewVectorMA(f.dim)
+		for _, u := range updates {
+			pooled.Add(u.Delta)
+		}
+		s.pooled = pooled.Mean()
+	}
+	return s.pooled
 }
 
-// normalize converts raw distances into suspicious scores per the
-// configured normalization.
-func (f *AsyncFilter) normalize(updates []*fl.Update, dists []float64, live map[int]estimator, groupOf []int) []float64 {
-	n := len(dists)
-	scores := make([]float64, n)
-
-	if f.cfg.Normalization == NormalizeGroupRMS {
+// normalize converts the round's raw distances into suspicious scores per
+// the configured normalization. scores arrives zeroed.
+func (f *AsyncFilter) normalize(scores []float64, updates []*fl.Update) {
+	s := &f.scratch
+	switch {
+	case f.cfg.Normalization == NormalizeGroupRMS:
 		// Per-group robust normalization: divide each member's distance
 		// by its group's median distance.
-		byGroup := make(map[int][]float64)
-		for i := range dists {
-			byGroup[groupOf[i]] = append(byGroup[groupOf[i]], dists[i])
-		}
-		meds := make(map[int]float64, len(byGroup))
-		for k, ds := range byGroup {
-			meds[k] = stats.Median(ds)
-		}
-		for i, d := range dists {
-			med := meds[groupOf[i]]
-			switch {
-			case med > 0:
-				scores[i] = d / med
-			case vecmath.IsZero(d):
-				scores[i] = 1
-			default:
-				scores[i] = 2 // positive distance over a zero-median group
+		s.gathered = grow(s.gathered, len(s.dists))
+		for g := range s.keys {
+			m := 0
+			for i, d := range s.dists {
+				if s.slotOf[i] == g {
+					s.gathered[m] = d
+					m++
+				}
+			}
+			if m == 0 {
+				continue
+			}
+			med := stats.MedianInPlace(s.gathered[:m])
+			for i, d := range s.dists {
+				switch {
+				case s.slotOf[i] != g:
+				case med > 0:
+					scores[i] = d / med
+				case vecmath.IsZero(d):
+					scores[i] = 1
+				default:
+					scores[i] = 2 // positive distance over a zero-median group
+				}
 			}
 		}
-		return scores
-	}
 
-	if f.cfg.Normalization == NormalizeGroups && len(live) >= 2 {
+	case f.cfg.Normalization == NormalizeGroups && len(s.keys) >= 2:
 		// Eq. 7 literal: per-client denominator over all group estimates.
 		for i, u := range updates {
 			var denom float64
-			for _, est := range live {
+			for _, est := range s.ests {
 				d := vecmath.Distance(est.Mean(), u.Delta)
 				denom += d * d
 			}
 			if denom <= 0 {
-				scores[i] = 0
 				continue
 			}
-			scores[i] = dists[i] / math.Sqrt(denom)
+			scores[i] = s.dists[i] / math.Sqrt(denom)
 		}
-		return scores
-	}
 
-	// Batch normalization: scores sum-of-squares to 1 across the batch.
-	var denom float64
-	for _, d := range dists {
-		denom += d * d
+	default:
+		// Batch normalization: scores sum-of-squares to 1 across the batch.
+		var denom float64
+		for _, d := range s.dists {
+			denom += d * d
+		}
+		if denom <= 0 {
+			return // all zero distances -> all zero scores
+		}
+		inv := 1 / math.Sqrt(denom)
+		for i, d := range s.dists {
+			scores[i] = d * inv
+		}
 	}
-	if denom <= 0 {
-		return scores // all zero distances -> all zero scores
-	}
-	inv := 1 / math.Sqrt(denom)
-	for i, d := range dists {
-		scores[i] = d * inv
-	}
-	return scores
 }
 
 // LastScores returns the suspicious scores computed by the most recent

@@ -97,13 +97,13 @@ func (f *AsyncFilter) Merge(st FilterState) error {
 // snapshot field has been validated and no merge path can fail).
 func mergedEstimator(live estimator, g GroupState) estimator {
 	switch e := live.(type) {
-	case *batchEstimator:
+	case *stats.VectorMA:
 		// Validated above: RestoreVectorMA only fails on a negative count.
 		other, err := stats.RestoreVectorMA(g.Mean, g.Count)
 		if err != nil {
 			panic(err)
 		}
-		e.ma.Merge(other)
+		e.Merge(other)
 		return e
 	case *ewmaEstimator:
 		// Count-weighted blend; exactness is impossible for EWMA because

@@ -14,8 +14,12 @@ type recordingObserver struct {
 	rounds    []fl.FilterRoundEvent
 }
 
-func (r *recordingObserver) ObserveDecision(ev fl.DecisionEvent)       { r.decisions = append(r.decisions, ev) }
-func (r *recordingObserver) ObserveFilterRound(ev fl.FilterRoundEvent) { r.rounds = append(r.rounds, ev) }
+func (r *recordingObserver) ObserveDecision(ev fl.DecisionEvent) {
+	r.decisions = append(r.decisions, ev)
+}
+func (r *recordingObserver) ObserveFilterRound(ev fl.FilterRoundEvent) {
+	r.rounds = append(r.rounds, ev)
+}
 
 // Every Filter call must emit one event per update whose verdict and
 // score match the returned FilterResult exactly, plus one round summary
@@ -199,5 +203,38 @@ func TestObserverNeutrality(t *testing.T) {
 	}
 	if !bytes.Equal(plainState, observedState) {
 		t.Fatal("observer changed serialized filter state")
+	}
+}
+
+// FilterRoundEvent.Groups is the number of live staleness groups of the
+// round: every group the filter tracks under the persistent estimators,
+// the batch's own groups under EstimatorBatch (which keeps nothing between
+// rounds, and used to report 0).
+func TestObserverGroupsCountsLiveGroups(t *testing.T) {
+	for _, est := range []string{EstimatorMA, EstimatorBatch, EstimatorEWMA} {
+		t.Run(est, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Estimator, cfg.EWMAAlpha = est, 0.3
+			f := mustNew(t, cfg)
+			rec := &recordingObserver{}
+			f.SetObserver(rec)
+
+			first, _ := makeBatch(1, map[int]int{0: 10, 1: 10, 4: 10}, 0, 0.3)
+			second, _ := makeBatch(2, map[int]int{1: 12, 7: 12}, 0, 0.3)
+			for round, batch := range [][]*fl.Update{first, second} {
+				if _, err := f.Filter(batch, round+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := []int{3, 4} // {0,1,4}, then {0,1,4,7}
+			if est == EstimatorBatch {
+				want = []int{3, 2} // {0,1,4}, then {1,7}
+			}
+			for i, ev := range rec.rounds {
+				if ev.Groups != want[i] {
+					t.Errorf("round %d: Groups = %d, want %d", i+1, ev.Groups, want[i])
+				}
+			}
+		})
 	}
 }

@@ -141,7 +141,7 @@ func (f *AsyncFilter) restoreEstimator(g GroupState) (estimator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: Restore: group %d: %w", g.Staleness, err)
 		}
-		return &batchEstimator{ma: ma}, nil
+		return ma, nil
 	}
 }
 

@@ -316,6 +316,16 @@ func AcceptAll(n int) FilterResult {
 	return FilterResult{Decisions: d}
 }
 
+// AcceptAllScored is AcceptAll with a zeroed Scores slice beside the
+// verdicts, for a filter that scores every update. Decisions and Scores
+// are what a round hands to its caller, so they are allocated here, per
+// call, however much else the filter reuses between rounds.
+func AcceptAllScored(n int) FilterResult {
+	res := AcceptAll(n)
+	res.Scores = make([]float64, n)
+	return res
+}
+
 // Passthrough is the no-defense filter; a server running Passthrough is
 // exactly FedBuff.
 type Passthrough struct{}

@@ -191,6 +191,10 @@ func Quantile(values []float64, q float64) float64 {
 	}
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
+}
+
+func quantileSorted(sorted []float64, q float64) float64 {
 	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
@@ -203,6 +207,16 @@ func Quantile(values []float64, q float64) float64 {
 
 // Median returns the 0.5-quantile.
 func Median(values []float64) float64 { return Quantile(values, 0.5) }
+
+// MedianInPlace is Median for a caller that owns values and does not need
+// their order kept: it sorts them where they are instead of copying them.
+func MedianInPlace(values []float64) float64 {
+	if len(values) == 0 {
+		panic("stats: MedianInPlace: empty input")
+	}
+	sort.Float64s(values)
+	return quantileSorted(values, 0.5)
+}
 
 // Confusion is a binary detection confusion matrix for poisoned-update
 // detection: "positive" means flagged as malicious.

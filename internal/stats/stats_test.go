@@ -112,12 +112,31 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+// MedianInPlace is Median bit for bit, odd and even lengths, duplicates
+// included; it may reorder its input and must not allocate.
+func TestMedianInPlaceMatchesMedian(t *testing.T) {
+	for _, values := range [][]float64{
+		{7}, {3, 1}, {3, 1, 2}, {3, 1, 2, 4}, {0.1, 0.3, 0.3, 0.7, 1e-9}, {5, 5, 5, 5},
+	} {
+		want := Median(values)
+		scratch := append([]float64(nil), values...)
+		var got float64
+		if allocs := testing.AllocsPerRun(10, func() { got = MedianInPlace(scratch) }); allocs != 0 {
+			t.Errorf("MedianInPlace(%v) allocates %v times", values, allocs)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("MedianInPlace(%v) = %v, Median = %v", values, got, want)
+		}
+	}
+}
+
 func TestQuantilePanics(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
 		{"empty", func() { Quantile(nil, 0.5) }},
+		{"median in place, empty", func() { MedianInPlace(nil) }},
 		{"q<0", func() { Quantile([]float64{1}, -0.1) }},
 		{"q>1", func() { Quantile([]float64{1}, 1.1) }},
 	} {
