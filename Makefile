@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet lint race bench-check bench bench-hot cover fuzz-smoke
+.PHONY: build test check vet lint race bench-check bench-driver bench bench-hot cover fuzz-smoke
 
 # Coverage floor enforced by `make cover` and the CI coverage job.
 # Measured at the observability PR; raise when coverage rises, never
@@ -60,6 +60,32 @@ bench-check:
 
 check: build vet lint race bench-check
 
+# bench-driver runs the benchmark exactly as the benchmark driver does —
+# BENCHMARK.json's command, one 24 s timed run of each workload it lists,
+# seed 1 — which bench-check's 4 s -smoke run is not. A workload fails on
+# a non-zero exit or a result line without "correct":true and "failed":0,
+# and its failed checks are printed; every workload runs either way.
+# Each run's log is kept as bench/out/driver_<workload>.log. About three
+# minutes on two cores, plus one build of the standard library into
+# .bench_build/ on a fresh checkout.
+BENCH_WORKLOADS = $(shell awk '/"workloads"/ {on = 1} on && /"name"/ {gsub(/[",]/, "", $$2); print $$2} on && /^  \]/ {on = 0}' BENCHMARK.json)
+bench-driver:
+	@if [ -z "$(BENCH_WORKLOADS)" ]; then echo "bench-driver: no workloads found in BENCHMARK.json"; exit 1; fi; \
+	mkdir -p bench/out; failed=0; \
+	for w in $(BENCH_WORKLOADS); do \
+		log=bench/out/driver_$$w.log; \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 24 --trace 0 > $$log 2>&1; rc=$$?; \
+		line=$$(tail -n 1 $$log); \
+		echo "$$w: exit $$rc: $$line"; \
+		case "$$line" in *'"correct":true'*'"failed":0,'*) ok=1 ;; *) ok=0 ;; esac; \
+		if [ $$rc -ne 0 ] || [ $$ok -ne 1 ]; then \
+			failed=1; \
+			grep -h 'FAILED CHECK\|aflperf:' $$log || tail -n 20 $$log; \
+		fi; \
+	done; \
+	if [ $$failed -ne 0 ]; then echo "bench-driver: FAILED (logs in bench/out/)"; exit 1; fi; \
+	echo "bench-driver: all workloads correct with no failed operations"
+
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -72,7 +98,11 @@ bench:
 # at its budget of 0 allocs/op, so one allocation per reply fails; the
 # filter round, BenchmarkHotFilter and its LeNet-5-sized twin, is in at
 # the 156 allocs/op of the per-round maps it used to build and must stay
-# within 5% of that, i.e. <= 7, now that it works on reused scratch), then
+# within 5% of that, i.e. <= 7, now that it works on reused scratch; the
+# binary update decode, BenchmarkHotUpdateDecode/*, is in at 0 allocs/op
+# and the mean combine, BenchmarkHotCombine/*, at its 2 — the round delta
+# and the weights — with both rows' ns/op taken before the blocked
+# kernels), then
 # captures an overload-experiment throughput snapshot (the served hot
 # path: ingest, filter, shed counters). CI uploads the snapshots as
 # BENCH_10.

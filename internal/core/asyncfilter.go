@@ -194,13 +194,14 @@ type AsyncFilter struct {
 type roundScratch struct {
 	keys     []int         // slot -> staleness key
 	ests     []estimator   // slot -> live estimator
-	refs     [][]float64   // slot -> the estimate its members are scored against, nil until asked for
 	pooled   []float64     // the batch mean, nil until a round falls through to it
 	slotOf   []int         // update -> slot
 	dists    []float64     // update -> distance to its slot's reference
 	gathered []float64     // one slot's distances, for its median
-	folded   []int         // the updates folded into the current group (colluder dedup)
-	sum      []float64     // their sum, under EstimatorEWMA
+	denom    []float64     // update -> Eq. 7's sum of squared distances to every group
+	members  []int         // the updates of the slot at hand, scored or folded together
+	xs       [][]float64   // their deltas, handed to a blocked kernel and cleared after
+	sum      []float64     // a group's batch mean, under EstimatorEWMA
 	eligible []bool        // cluster -> passes the rejection guard
 	pre      []fl.Decision // pre-amnesty verdicts, kept for an observer only
 	km       cluster.Scalar
@@ -217,8 +218,10 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
+// estimator is one staleness group's estimate. AddAll folds one round's
+// vectors of the group, in arrival order.
 type estimator interface {
-	Add(x []float64)
+	AddAll(xs [][]float64)
 	Mean() []float64
 	Count() int
 }
@@ -233,7 +236,15 @@ type ewmaEstimator struct {
 	count int
 }
 
-func (w *ewmaEstimator) Add(x []float64) { w.e.Add(x); w.count++ }
+// AddAll folds each vector as one observation. fold hands it one per
+// round, the group's batch mean.
+func (w *ewmaEstimator) AddAll(xs [][]float64) {
+	for _, x := range xs {
+		w.e.Add(x)
+		w.count++
+	}
+}
+
 func (w *ewmaEstimator) Mean() []float64 { return w.e.Mean() }
 func (w *ewmaEstimator) Count() int      { return w.count }
 
@@ -377,8 +388,9 @@ func (f *AsyncFilter) Filter(updates []*fl.Update, round int) (fl.FilterResult, 
 	if f.cfg.Estimator == EstimatorBatch {
 		// Batch-only estimators fold the whole (unfiltered) batch: they
 		// have no cross-round state to protect.
-		for i, u := range updates {
-			s.ests[s.slotOf[i]].Add(u.Delta)
+		for g, est := range s.ests {
+			f.gather(updates, g, nil)
+			est.AddAll(s.xs)
 		}
 	}
 
@@ -387,18 +399,23 @@ func (f *AsyncFilter) Filter(updates []*fl.Update, round int) (fl.FilterResult, 
 	// state from BEFORE this batch, so crafted updates cannot drag the
 	// estimate toward themselves in the round they arrive; the estimators
 	// are extended with the accepted updates only, after the verdicts
-	// (see fold below).
-	s.refs = grow(s.refs, len(s.keys))
-	clear(s.refs)
+	// (see fold below). A slot's members are scored together, four per
+	// pass over their reference.
 	s.pooled = nil
 	s.dists = grow(s.dists, n)
-	for i, u := range updates {
-		g := s.slotOf[i]
-		if s.refs[g] == nil {
-			s.refs[g] = f.referenceMean(g, updates)
+	s.gathered = grow(s.gathered, n)
+	for g := range s.keys {
+		f.gather(updates, g, nil)
+		if len(s.members) == 0 {
+			continue
 		}
-		s.dists[i] = vecmath.Distance(s.refs[g], u.Delta)
+		ref, out := f.referenceMean(g, updates), s.gathered[:len(s.members)]
+		vecmath.Distances(out, ref, s.xs)
+		for j, i := range s.members {
+			s.dists[i] = out[j]
+		}
 	}
+	clear(s.xs)
 	// The verdicts and scores escape to the caller, LastScores and the
 	// observer, so they alone are fresh every round.
 	res := fl.AcceptAllScored(n)
@@ -535,45 +552,53 @@ func (f *AsyncFilter) guardPasses(c int, scores []float64, km *cluster.Result) b
 // folded once:
 // colluding attackers all transmit the same crafted vector (LIE, Min-Max
 // and Min-Sum do), and folding it per-sender would let the collusion drag
-// the group estimate toward the poison with k times its fair weight.
+// the group estimate toward the poison with k times its fair weight. The
+// dedup needs only the vectors, so a group's members are chosen first and
+// folded in one AddAll.
 func (f *AsyncFilter) fold(updates []*fl.Update, decisions []fl.Decision) {
 	if f.cfg.Estimator == EstimatorBatch {
 		return
 	}
 	s := &f.scratch
-	ewma := f.cfg.Estimator == EstimatorEWMA
-	s.folded = grow(s.folded, len(updates))
 	for g, est := range s.ests {
-		s.folded = s.folded[:0]
-		for i, u := range updates {
-			if s.slotOf[i] != g || decisions[i] == fl.Reject || s.alreadyFolded(updates, i) {
-				continue
-			}
-			s.folded = append(s.folded, i)
-			if !ewma {
-				est.Add(u.Delta)
-				continue
-			}
+		f.gather(updates, g, func(i int) bool {
+			return decisions[i] != fl.Reject && !s.alreadyFolded(updates, i)
+		})
+		if f.cfg.Estimator == EstimatorEWMA && len(s.xs) > 0 {
 			// EWMA is an across-rounds smoother: it folds one observation
 			// per round (the group's accepted batch mean) so in-batch
 			// arrival order cannot bias the estimate.
-			if len(s.folded) == 1 {
-				s.sum = grow(s.sum, f.dim)
-				vecmath.Fill(s.sum, 0)
-			}
-			vecmath.Add(s.sum, s.sum, u.Delta)
+			s.sum = grow(s.sum, f.dim)
+			vecmath.MeanVector(s.sum, s.xs)
+			s.xs = append(s.xs[:0], s.sum)
 		}
-		if ewma && len(s.folded) > 0 {
-			vecmath.Scale(s.sum, 1/float64(len(s.folded)), s.sum)
-			est.Add(s.sum)
+		est.AddAll(s.xs)
+	}
+	clear(s.xs)
+}
+
+// gather collects the updates of slot g that keep admits (all of them
+// when keep is nil), in arrival order: their indices into s.members and
+// their deltas into s.xs. keep may read s.members, the slot's updates
+// admitted so far. The caller clears s.xs once its kernel has run, so the
+// scratch holds no update past the round.
+func (f *AsyncFilter) gather(updates []*fl.Update, g int, keep func(i int) bool) {
+	s := &f.scratch
+	s.members, s.xs = s.members[:0], s.xs[:0]
+	for i, u := range updates {
+		if s.slotOf[i] != g || (keep != nil && !keep(i)) {
+			continue
 		}
+		s.members = append(s.members, i)
+		s.xs = append(s.xs, u.Delta)
 	}
 }
 
 // alreadyFolded reports whether update i repeats, to within 1e-12 per
-// coordinate, a vector already folded into its group this round.
+// coordinate, a vector already chosen for folding into its group this
+// round.
 func (s *roundScratch) alreadyFolded(updates []*fl.Update, i int) bool {
-	for _, j := range s.folded {
+	for _, j := range s.members {
 		if vecmath.EqualApprox(updates[j].Delta, updates[i].Delta, 1e-12) {
 			return true
 		}
@@ -636,9 +661,11 @@ func (f *AsyncFilter) referenceMean(g int, updates []*fl.Update) []float64 {
 	}
 	if s.pooled == nil {
 		var pooled estimator = stats.NewVectorMA(f.dim)
-		for _, u := range updates {
-			pooled.Add(u.Delta)
+		all := make([][]float64, len(updates))
+		for i, u := range updates {
+			all[i] = u.Delta
 		}
+		pooled.AddAll(all)
 		s.pooled = pooled.Mean()
 	}
 	return s.pooled
@@ -679,13 +706,23 @@ func (f *AsyncFilter) normalize(scores []float64, updates []*fl.Update) {
 		}
 
 	case f.cfg.Normalization == NormalizeGroups && len(s.keys) >= 2:
-		// Eq. 7 literal: per-client denominator over all group estimates.
-		for i, u := range updates {
-			var denom float64
-			for _, est := range s.ests {
-				d := vecmath.Distance(est.Mean(), u.Delta)
-				denom += d * d
+		// Eq. 7 literal: per-client denominator over all group estimates,
+		// each client's squared distances summed in slot order.
+		s.denom = grow(s.denom, len(updates))
+		clear(s.denom)
+		s.xs = s.xs[:0]
+		for _, u := range updates {
+			s.xs = append(s.xs, u.Delta)
+		}
+		out := s.gathered[:len(updates)]
+		for _, est := range s.ests {
+			vecmath.Distances(out, est.Mean(), s.xs)
+			for i, d := range out {
+				s.denom[i] += d * d
 			}
+		}
+		clear(s.xs)
+		for i, denom := range s.denom {
 			if denom <= 0 {
 				continue
 			}

@@ -164,7 +164,8 @@ type AggregatorConfig struct {
 
 // Aggregate applies the weighted mean of the updates' deltas to the global
 // parameter vector in place, returning the per-update normalized weights
-// actually used. An empty update set is a no-op returning nil.
+// actually used. An empty update set is a no-op returning nil. global
+// must not alias any update's delta.
 func Aggregate(global []float64, updates []*Update, cfg AggregatorConfig) ([]float64, error) {
 	if len(updates) == 0 {
 		return nil, nil
@@ -192,8 +193,18 @@ func Aggregate(global []float64, updates []*Update, cfg AggregatorConfig) ([]flo
 	for i := range weights {
 		weights[i] /= total
 	}
+	// Four updates per pass over global: each coordinate still receives
+	// its terms one at a time in update order, so the bits are AXPY's.
+	var alphas [4]float64
+	var xs [4][]float64
+	m := 0
 	for i, u := range updates {
-		vecmath.AXPY(global, lr*weights[i], u.Delta)
+		alphas[m], xs[m] = lr*weights[i], u.Delta
+		m++
+		if m == len(xs) || i == len(updates)-1 {
+			vecmath.AXPYs(global, alphas[:m], xs[:m])
+			m = 0
+		}
 	}
 	return weights, nil
 }

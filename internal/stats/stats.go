@@ -91,6 +91,35 @@ func (m *VectorMA) Add(x []float64) {
 	m.count++
 }
 
+// AddAll folds the vectors into the average in order: a loop of Add, bit
+// for bit, that reads and writes the mean once per four vectors. Each
+// fold step uses the t and 1/(t+1) that Add would, in the order Add
+// would apply them. Every length is checked before the mean is touched.
+func (m *VectorMA) AddAll(xs [][]float64) {
+	for _, x := range xs {
+		if len(x) != len(m.mean) {
+			panic(fmt.Sprintf("stats: VectorMA.AddAll: dim %d != %d", len(x), len(m.mean)))
+		}
+	}
+	k := 0
+	for ; k+4 <= len(xs); k += 4 {
+		t0, t1, t2, t3 := float64(m.count), float64(m.count+1), float64(m.count+2), float64(m.count+3)
+		inv0, inv1, inv2, inv3 := 1/(t0+1), 1/(t1+1), 1/(t2+1), 1/(t3+1)
+		x0, x1, x2, x3 := xs[k][:len(m.mean)], xs[k+1][:len(m.mean)], xs[k+2][:len(m.mean)], xs[k+3][:len(m.mean)]
+		for i, v := range m.mean {
+			v = v*t0*inv0 + x0[i]*inv0
+			v = v*t1*inv1 + x1[i]*inv1
+			v = v*t2*inv2 + x2[i]*inv2
+			v = v*t3*inv3 + x3[i]*inv3
+			m.mean[i] = v
+		}
+		m.count += 4
+	}
+	for ; k < len(xs); k++ {
+		m.Add(xs[k])
+	}
+}
+
 // Mean returns the current average. The returned slice is owned by the
 // accumulator; callers must not mutate it. It is nil-safe only for reading:
 // before any Add the mean is the zero vector.

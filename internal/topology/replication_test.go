@@ -48,13 +48,15 @@ func TestFencedEdgeRequestDemotesRoot(t *testing.T) {
 	if reply.Epoch != 0 {
 		t.Errorf("fenced reply carries epoch %d, want the stale root's 0", reply.Epoch)
 	}
-	if !root.Fenced() {
-		t.Error("root did not demote after proof of a newer epoch")
-	}
+	// The reply goes out before the root fences itself (fencing closes
+	// the connection it travels on), so wait for Done before asking.
 	select {
 	case <-root.Done():
 	case <-time.After(2 * time.Second):
 		t.Fatal("fenced root never fired Done")
+	}
+	if !root.Fenced() {
+		t.Error("root did not demote after proof of a newer epoch")
 	}
 	st := root.Stats()
 	if st.FencedNacks != 1 {

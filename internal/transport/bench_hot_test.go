@@ -135,3 +135,68 @@ func TestPlainTaskReplyAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// replayReader yields the same byte stream over and over, a connection
+// whose peer sends one frame forever.
+type replayReader struct {
+	stream []byte
+	off    int
+}
+
+func (r *replayReader) Read(p []byte) (int, error) {
+	n := copy(p, r.stream[r.off:])
+	r.off = (r.off + n) % len(r.stream)
+	return n, nil
+}
+
+// BenchmarkHotUpdateDecode measures the server's read of one binary
+// update frame, header and slab, into an arena vector: the per-update
+// decode of the served path with no socket under it. `make bench-hot`
+// gates it at 0 allocs/op. The vectors go back to the arena 64 at a time
+// with the timer stopped, because PutVec's one allocation is the
+// buffer's cost (BenchmarkHotBufferAdd counts it), not the decoder's.
+func BenchmarkHotUpdateDecode(b *testing.B) {
+	for _, dim := range []int{256, 61706} {
+		b.Run(fmt.Sprintf("d%d", dim), func(b *testing.B) {
+			s := replyServer(b, make([]float64, dim))
+			delta := make([]float64, dim)
+			for i := range delta {
+				delta[i] = float64(i) / 7
+			}
+			stream := binSeed(b, func(c *binConn) error {
+				return c.writeClientMsg(&ClientMsg{Update: &UpdateMsg{BaseVersion: 3, Delta: delta}})
+			})
+			wire := &binServerWire{bin: binReader(&replayReader{stream: stream}, 0), srv: s}
+			b.SetBytes(int64(8 * dim))
+			b.ReportAllocs()
+			var held [64][]float64
+			recycle := func(n int) {
+				for _, v := range held[:n] {
+					s.arena.PutVec(v)
+				}
+			}
+			decode := func() []float64 {
+				frame, err := wire.readMsg()
+				if err != nil || !frame.hasUpdate || len(frame.delta) != dim {
+					b.Fatalf("decode: %v", err)
+				}
+				return frame.delta
+			}
+			for i := range held { // fill the arena
+				held[i] = decode()
+			}
+			recycle(len(held))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				held[i%len(held)] = decode()
+				if i%len(held) == len(held)-1 {
+					b.StopTimer()
+					recycle(len(held))
+					b.StartTimer()
+				}
+			}
+			b.StopTimer()
+			recycle(b.N % len(held))
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/asyncfl/asyncfilter/internal/fl"
@@ -238,12 +239,22 @@ func appendI64(b []byte, v int) []byte {
 	return appendU64(b, uint64(int64(v)))
 }
 
-// appendF64s writes a float64 slab bit-exactly.
+// appendF64s writes a float64 slab bit-exactly. b grows once; the slab is
+// then written four floats at a time through a sliding window, whose
+// length test covers the bounds checks of all four stores.
 func appendF64s(b []byte, v []float64) []byte {
-	for _, x := range v {
-		var t [8]byte
-		binary.LittleEndian.PutUint64(t[:], math.Float64bits(x))
-		b = append(b, t[:]...)
+	n := len(b)
+	b = slices.Grow(b, 8*len(v))[:n+8*len(v)]
+	p := b[n:]
+	for len(v) >= 4 && len(p) >= 32 {
+		binary.LittleEndian.PutUint64(p[0:8], math.Float64bits(v[0]))
+		binary.LittleEndian.PutUint64(p[8:16], math.Float64bits(v[1]))
+		binary.LittleEndian.PutUint64(p[16:24], math.Float64bits(v[2]))
+		binary.LittleEndian.PutUint64(p[24:32], math.Float64bits(v[3]))
+		v, p = v[4:], p[32:]
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(x))
 	}
 	return b
 }
@@ -328,11 +339,19 @@ func (c *binCursor) str() string {
 	return string(c.need(n))
 }
 
-// f64sInto fills dst bit-exactly from the payload.
+// f64sInto fills dst bit-exactly from the payload, four floats per step
+// through a sliding window like appendF64s.
 func (c *binCursor) f64sInto(dst []float64) {
 	p := c.need(8 * len(dst))
 	if p == nil {
 		return
+	}
+	for len(dst) >= 4 && len(p) >= 32 {
+		dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(p[0:8]))
+		dst[1] = math.Float64frombits(binary.LittleEndian.Uint64(p[8:16]))
+		dst[2] = math.Float64frombits(binary.LittleEndian.Uint64(p[16:24]))
+		dst[3] = math.Float64frombits(binary.LittleEndian.Uint64(p[24:32]))
+		dst, p = dst[4:], p[32:]
 	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))

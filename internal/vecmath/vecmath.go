@@ -110,6 +110,33 @@ func AXPY(dst []float64, alpha float64, x []float64) {
 	}
 }
 
+// AXPYs performs dst += alphas[k]*xs[k] for every k in order: a loop of
+// AXPY calls, bit for bit, that loads and stores dst once per four
+// vectors. Each dst[i] receives the same additions in the same order, so
+// only the memory traffic changes. dst must not alias any of xs.
+func AXPYs(dst []float64, alphas []float64, xs [][]float64) {
+	checkLen("AXPYs", len(alphas), len(xs))
+	k := 0
+	for ; k+4 <= len(xs); k += 4 {
+		a0, a1, a2, a3 := alphas[k], alphas[k+1], alphas[k+2], alphas[k+3]
+		x0, x1, x2, x3 := xs[k], xs[k+1], xs[k+2], xs[k+3]
+		for _, x := range [...][]float64{x0, x1, x2, x3} {
+			checkLen("AXPYs", len(dst), len(x))
+		}
+		x0, x1, x2, x3 = x0[:len(dst)], x1[:len(dst)], x2[:len(dst)], x3[:len(dst)]
+		for i, d := range dst {
+			d += a0 * x0[i]
+			d += a1 * x1[i]
+			d += a2 * x2[i]
+			d += a3 * x3[i]
+			dst[i] = d
+		}
+	}
+	for ; k < len(xs); k++ {
+		AXPY(dst, alphas[k], xs[k])
+	}
+}
+
 // Mul stores the element-wise product a*b into dst.
 func Mul(dst, a, b []float64) {
 	checkLen("Mul", len(a), len(b))
@@ -168,6 +195,37 @@ func Distance(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
+}
+
+// Distances stores Distance(ref, xs[k]) into out[k] for every k. It reads
+// ref once per four vectors and keeps four independent sums; each sum
+// adds the same squared differences in the same order Distance does, so
+// the results are bit-identical to a loop of Distance calls.
+func Distances(out, ref []float64, xs [][]float64) {
+	checkLen("Distances", len(out), len(xs))
+	k := 0
+	for ; k+4 <= len(xs); k += 4 {
+		x0, x1, x2, x3 := xs[k], xs[k+1], xs[k+2], xs[k+3]
+		for _, x := range [...][]float64{x0, x1, x2, x3} {
+			checkLen("Distances", len(ref), len(x))
+		}
+		x0, x1, x2, x3 = x0[:len(ref)], x1[:len(ref)], x2[:len(ref)], x3[:len(ref)]
+		var s0, s1, s2, s3 float64
+		for i, r := range ref {
+			d0 := r - x0[i]
+			d1 := r - x1[i]
+			d2 := r - x2[i]
+			d3 := r - x3[i]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		out[k], out[k+1], out[k+2], out[k+3] = math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)
+	}
+	for ; k < len(xs); k++ {
+		out[k] = Distance(ref, xs[k])
+	}
 }
 
 // SquaredDistance returns the squared Euclidean distance between a and b.
