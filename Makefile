@@ -26,8 +26,8 @@ vet:
 
 # lint runs the repo's custom go/analysis suite (cmd/afllint): rawrand,
 # vecalias, lockio, typederr, floateq, plus the concurrency and
-# distributed-invariant analyzers lockorder, goroleak, netdeadline,
-# epochfence and hotalloc. Suppress an individual finding with
+# distributed-invariant analyzers lockorder, goroleak, netdeadline and
+# hotalloc. Suppress an individual finding with
 # `//lint:ignore <analyzer> <reason>` on the line or the line above —
 # the reason is mandatory.
 #

@@ -1,6 +1,6 @@
 // Command afllint runs the repository's invariant analyzers (rawrand,
 // vecalias, lockio, typederr, floateq, lockorder, goroleak, netdeadline,
-// epochfence, hotalloc — see internal/analysis) over Go packages. It
+// hotalloc — see internal/analysis) over Go packages. It
 // supports two modes:
 //
 //   - standalone: `afllint [packages]` (default ./...) loads packages via

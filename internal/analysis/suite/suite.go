@@ -7,7 +7,6 @@ import (
 	"regexp"
 
 	"github.com/asyncfl/asyncfilter/internal/analysis"
-	"github.com/asyncfl/asyncfilter/internal/analysis/epochfence"
 	"github.com/asyncfl/asyncfilter/internal/analysis/floateq"
 	"github.com/asyncfl/asyncfilter/internal/analysis/goroleak"
 	"github.com/asyncfl/asyncfilter/internal/analysis/hotalloc"
@@ -34,8 +33,6 @@ var concurrencyScope = regexp.MustCompile(`/internal/(transport|topology|replica
 //     decide step;
 //   - lockorder, goroleak and netdeadline in the concurrency-bearing
 //     packages (transport, topology, replica);
-//   - epochfence wherever fenced epochs live (topology, replica) plus
-//     transport, which carries them on the wire;
 //   - typederr, floateq and hotalloc everywhere (hotalloc only fires
 //     inside functions annotated //afl:hotpath, so a repo-wide scope
 //     costs nothing on unannotated packages).
@@ -63,10 +60,6 @@ func Default() []analysis.Scoped {
 		},
 		{
 			Analyzer: netdeadline.Analyzer,
-			Include:  []*regexp.Regexp{concurrencyScope},
-		},
-		{
-			Analyzer: epochfence.Analyzer,
 			Include:  []*regexp.Regexp{concurrencyScope},
 		},
 		{Analyzer: typederr.Analyzer},

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/asyncfl/asyncfilter/internal/checkpoint"
+	"github.com/asyncfl/asyncfilter/internal/fence"
 	"github.com/asyncfl/asyncfilter/internal/transport"
 )
 
@@ -33,14 +34,13 @@ import (
 // operator's cue (see the README split-brain runbook).
 
 // voteLedger is a node's durable election memory: the highest epoch it
-// has granted a vote in and who received it. All epoch movement is
-// raise-only and routed through grantEpoch, keeping the epochfence
-// analyzer's contract over this field too.
+// has granted a vote in and who received it. The epoch is a fence.Epoch,
+// so it only moves forward.
 type voteLedger struct {
 	path string // "" keeps the ledger in memory only (tests, ephemeral nodes)
 
 	mu       sync.Mutex
-	epoch    uint64
+	epoch    fence.Epoch
 	votedFor int
 }
 
@@ -69,8 +69,7 @@ func newVoteLedger(path string) (*voteLedger, error) {
 func (l *voteLedger) restoreVoteEpoch(rec checkpoint.VoteRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if rec.Epoch > l.epoch {
-		l.epoch = rec.Epoch
+	if l.epoch.Raise(rec.Epoch) {
 		l.votedFor = rec.VotedFor
 	}
 }
@@ -84,20 +83,21 @@ func (l *voteLedger) restoreVoteEpoch(rec checkpoint.VoteRecord) {
 func (l *voteLedger) grantEpoch(epoch uint64, candidate int) (bool, uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if epoch < l.epoch {
-		return false, l.epoch, nil
+	cur := l.epoch.Load()
+	if l.epoch.Stale(epoch) {
+		return false, cur, nil
 	}
-	if epoch == l.epoch {
-		return l.epoch != 0 && l.votedFor == candidate, l.epoch, nil
+	if epoch == cur {
+		return cur != 0 && l.votedFor == candidate, cur, nil
 	}
 	if l.path != "" {
 		if err := checkpoint.Save(l.path, &checkpoint.VoteRecord{Epoch: epoch, VotedFor: candidate}); err != nil {
-			return false, l.epoch, err
+			return false, cur, err
 		}
 	}
-	l.epoch = epoch
+	l.epoch.Raise(epoch)
 	l.votedFor = candidate
-	return true, l.epoch, nil
+	return true, epoch, nil
 }
 
 // last returns the highest granted epoch and its candidate (-1 when the
@@ -105,7 +105,7 @@ func (l *voteLedger) grantEpoch(epoch uint64, candidate int) (bool, uint64, erro
 func (l *voteLedger) last() (uint64, int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.epoch, l.votedFor
+	return l.epoch.Load(), l.votedFor
 }
 
 // nextElectionEpoch picks the epoch a new candidacy targets: strictly
@@ -204,20 +204,16 @@ func (n *Node) runElection() bool {
 		n.promotingHook()
 	}
 	if err := n.root.PromoteEpoch(epoch); err != nil {
-		// A higher epoch landed while the election ran: another candidate
-		// won and this node already observed the new generation. Stand
-		// down; the ledger keeps the spent epoch.
+		// Either a higher epoch landed while the election ran (another
+		// candidate won and this node already observed the new
+		// generation), or the epoch could not be persisted. Stand down;
+		// the ledger keeps the spent epoch. A winner is serving, so give
+		// it a full lease to reach us before the next candidacy.
 		n.mu.Lock()
-		if n.role == RolePromoting && !n.closed {
-			n.role = RoleStandby
-		}
 		n.stats.ElectionsLost++
-		// The winner is serving; give it a full lease to reach us before
-		// the next candidacy.
-		n.nextElection = time.Now().Add(n.cfg.Lease)
 		n.mu.Unlock()
-		n.noteRole(RoleStandby)
-		log.Printf("replica: node %d: election at epoch %d overtaken: %v", n.cfg.NodeID, epoch, err)
+		n.standDown()
+		log.Printf("replica: node %d: election at epoch %d did not promote: %v", n.cfg.NodeID, epoch, err)
 		return false
 	}
 	n.mu.Lock()

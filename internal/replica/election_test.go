@@ -111,6 +111,37 @@ func TestVoteLedgerDurability(t *testing.T) {
 	}
 }
 
+// TestVoteLedgerPersistsBeforeRaise: a grant whose ledger write fails is
+// refused and leaves the ledger where it was. The order is check, then
+// persist, then raise; a raise before the write would let a restarted
+// voter grant the same epoch twice.
+func TestVoteLedgerPersistsBeforeRaise(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, err := newVoteLedger(filepath.Join(dir, "vote.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, _, err := l.grantEpoch(2, 4); !ok || err != nil {
+		t.Fatalf("grantEpoch(2, 4) = (%v, %v), want a grant", ok, err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	ok, cur, err := l.grantEpoch(3, 7)
+	if err == nil || ok {
+		t.Fatalf("grantEpoch(3, 7) with its ledger directory gone = (%v, %v), want a refusal with an error", ok, err)
+	}
+	if cur != 2 {
+		t.Errorf("failed grant reports epoch %d, want 2", cur)
+	}
+	if e, v := l.last(); e != 2 || v != 4 {
+		t.Errorf("ledger after a failed grant = (%d, %d), want (2, 4)", e, v)
+	}
+}
+
 // TestOutclassedCandidateStandsDown: a candidate refused by a voter
 // whose applied log is ahead can never win (the LastSeq rule refuses it
 // every round), so the loss must push its next candidacy out by at

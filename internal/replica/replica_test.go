@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -445,6 +447,62 @@ func TestUnreachablePrimaryPromotesWithinLease(t *testing.T) {
 	edge := dialEdge(t, addr)
 	if reply := edge.hello(1, 1); reply.Nack != 0 {
 		t.Fatalf("promoted node refused an edge: %v", reply.Nack)
+	}
+}
+
+// TestPromotionPersistFailureStandsDown: a lease-only promotion whose
+// epoch cannot be persisted must not serve, and must not spin on fresh
+// epochs either. The node stands down to standby and tries again a lease
+// later, which succeeds once the checkpoint directory is back.
+func TestPromotionPersistFailureStandsDown(t *testing.T) {
+	lease := 100 * time.Millisecond
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sRoot, err := topology.NewRoot(topology.RootConfig{
+		InitialParams:  make([]float64, testDim),
+		Rounds:         100000,
+		CheckpointPath: filepath.Join(dir, "root.ckpt"),
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	sNode, err := NewNode(Config{
+		NodeID:    1,
+		Upstreams: []string{"127.0.0.1:1"},
+		Lease:     lease,
+		Dial: func(string) (net.Conn, error) {
+			return nil, errors.New("injected: unreachable")
+		},
+		RetryBaseDelay: 5 * time.Millisecond,
+		RetryMaxDelay:  20 * time.Millisecond,
+	}, sRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startNode(t, sNode)
+
+	// A node that retried on the persist error would stay in
+	// RolePromoting, raising the epoch on every pass, and never get here.
+	waitFor(t, 5*time.Second, "stand-down after a failed persist", func() bool {
+		return sNode.Role() == RoleStandby && sNode.Epoch() >= 1
+	})
+	if st := sNode.Stats(); st.Promotions != 0 {
+		t.Fatalf("node counted a promotion whose epoch was never persisted: %+v", st)
+	}
+
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "promotion once the checkpoint is writable", func() bool {
+		return sNode.Role() == RolePrimary
+	})
+	if st := sNode.Stats(); st.Promotions != 1 {
+		t.Errorf("promotions = %d, want 1", st.Promotions)
 	}
 }
 

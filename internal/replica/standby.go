@@ -7,6 +7,7 @@ import (
 	"net"
 	"time"
 
+	"github.com/asyncfl/asyncfilter/internal/topology"
 	"github.com/asyncfl/asyncfilter/internal/transport"
 )
 
@@ -209,8 +210,10 @@ func (n *Node) watchdog() {
 				continue
 			}
 			if n.quorum <= 1 {
-				n.promote()
-				return
+				if n.promote() {
+					return
+				}
+				continue
 			}
 			if n.runElection() {
 				return
@@ -222,25 +225,34 @@ func (n *Node) watchdog() {
 // promote runs the lease-only promotion sequence of a non-quorum group:
 // cut the upstream session, bump and persist the fencing epoch, publish
 // the peer list, and flip to primary so Serve hands the edge listener to
-// the root. Quorum groups reach the same tail through runElection.
-func (n *Node) promote() {
+// the root. Quorum groups reach the same tail through runElection. It
+// reports whether the node now serves.
+func (n *Node) promote() bool {
 	lost, ok := n.beginPromoting()
 	if !ok {
-		return
+		return false
 	}
 
-	// PromoteEpoch persists the new epoch before returning; it can only
-	// refuse when a concurrent adoption raised the epoch first, in which
-	// case go above that one.
+	// PromoteEpoch persists the new epoch before returning. When a
+	// concurrent adoption raised the epoch first it refuses, and the loop
+	// goes above that one. When the persist fails the node stands down
+	// and tries again after a lease, like a lost election.
 	for {
 		next := n.root.Epoch() + 1
-		if err := n.root.PromoteEpoch(next); err == nil {
+		err := n.root.PromoteEpoch(next)
+		if err == nil {
 			log.Printf("replica: node %d: lease expired, promoting to primary at epoch %d (%d records behind)",
 				n.cfg.NodeID, next, lost)
 			break
 		}
+		if !errors.Is(err, topology.ErrEpochNotAbove) {
+			n.standDown()
+			log.Printf("replica: node %d: promotion at epoch %d failed: %v", n.cfg.NodeID, next, err)
+			return false
+		}
 	}
 	n.completePromotion(lost)
+	return true
 }
 
 // beginPromoting moves a standby (or an election-winning candidate) into
@@ -268,6 +280,18 @@ func (n *Node) beginPromoting() (uint64, bool) {
 		_ = conn.Close()
 	}
 	return lost, true
+}
+
+// standDown returns a node whose promotion failed to standby and holds
+// off its next attempt for a full lease.
+func (n *Node) standDown() {
+	n.mu.Lock()
+	if n.role == RolePromoting && !n.closed {
+		n.role = RoleStandby
+	}
+	n.nextElection = time.Now().Add(n.cfg.Lease)
+	n.mu.Unlock()
+	n.noteRole(RoleStandby)
 }
 
 // completePromotion finishes a promotion whose epoch is already

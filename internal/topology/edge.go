@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/asyncfl/asyncfilter/internal/fence"
 	"github.com/asyncfl/asyncfilter/internal/fl"
 	"github.com/asyncfl/asyncfilter/internal/obsv"
 	"github.com/asyncfl/asyncfilter/internal/randx"
@@ -123,7 +124,7 @@ type Edge struct {
 	// on every request so stale primaries fence themselves. peers is the
 	// learned root peer list (replicated deployments); the uplink rotates
 	// targetIdx through it when the current root stops answering.
-	epoch      uint64
+	epoch      fence.Epoch
 	peers      []string
 	peersSeen  int
 	targetIdx  int
@@ -401,7 +402,7 @@ func (e *Edge) session(uc *transport.UpstreamConn, addr string) error {
 			ClientAddr: e.cfg.ClientAddr,
 			NextBatch:  e.nextBatch,
 		},
-		Epoch: e.epoch,
+		Epoch: e.epoch.Load(),
 	}
 	e.mu.Unlock()
 	if err := uc.WriteEdge(hello); err != nil {
@@ -454,7 +455,7 @@ func (e *Edge) session(uc *transport.UpstreamConn, addr string) error {
 			}
 		}
 		e.mu.Lock()
-		msg.Epoch = e.epoch
+		msg.Epoch = e.epoch.Load()
 		e.mu.Unlock()
 		if err := uc.WriteEdge(msg); err != nil {
 			return fmt.Errorf("topology: edge send: %w", err)
@@ -546,8 +547,7 @@ func (e *Edge) handleReply(reply *transport.RootMsg) error {
 // adoptEpoch keeps the highest fencing epoch seen in any root reply.
 func (e *Edge) adoptEpoch(epoch uint64) {
 	e.mu.Lock()
-	if epoch > e.epoch {
-		e.epoch = epoch
+	if e.epoch.Raise(epoch) {
 		e.noteGaugeLocked("afl_edge_root_epoch", float64(epoch))
 	}
 	e.mu.Unlock()
@@ -573,7 +573,7 @@ func (e *Edge) applyPeers(peers []string, version int) {
 func (e *Edge) Epoch() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.epoch
+	return e.epoch.Load()
 }
 
 // applyAck drops acknowledged batches from the pending queue and

@@ -44,30 +44,40 @@ func (r *Root) SetPeers(addrs []string) {
 	r.peersVersion++
 }
 
+// ErrEpochNotAbove is PromoteEpoch's refusal: the requested epoch is not
+// above the one the root already holds.
+var ErrEpochNotAbove = errors.New("topology: epoch not above current")
+
 // Epoch returns the fencing epoch this root serves under.
 func (r *Root) Epoch() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.epoch
+	return r.epoch.Load()
 }
 
 // PromoteEpoch raises the root's fencing epoch — a standby's promotion
 // step. The new epoch is persisted in the checkpoint (when configured)
 // BEFORE the method returns, so a promoted root that crashes cannot come
-// back believing in its pre-promotion epoch. Epochs only move forward.
+// back believing in its pre-promotion epoch. Epochs only move forward:
+// an epoch not above the current one is refused with ErrEpochNotAbove.
+// Any other error means the persist failed. The epoch is then raised in
+// memory only, so it is never handed out twice, and the caller must not
+// serve under it.
 func (r *Root) PromoteEpoch(epoch uint64) error {
 	r.roundSlot <- struct{}{}
 	defer func() { <-r.roundSlot }()
 	r.mu.Lock()
-	if epoch <= r.epoch {
-		cur := r.epoch
+	if !r.epoch.Raise(epoch) {
+		cur := r.epoch.Load()
 		r.mu.Unlock()
-		return fmt.Errorf("topology: PromoteEpoch: epoch %d not above current %d", epoch, cur)
+		return fmt.Errorf("%w: PromoteEpoch(%d) at %d", ErrEpochNotAbove, epoch, cur)
 	}
-	r.epoch = epoch
 	r.mu.Unlock()
-	if r.cfg.CheckpointPath != "" {
-		r.writeCheckpoint()
+	if r.cfg.CheckpointPath == "" {
+		return nil
+	}
+	if err := r.writeCheckpoint(); err != nil {
+		return fmt.Errorf("topology: PromoteEpoch(%d): persist: %w", epoch, err)
 	}
 	return nil
 }
@@ -78,18 +88,8 @@ func (r *Root) PromoteEpoch(epoch uint64) error {
 // not persist — the next checkpoint or snapshot install carries it.
 func (r *Root) ObserveEpoch(epoch uint64) {
 	r.mu.Lock()
-	r.observeEpochLocked(epoch)
+	r.epoch.Raise(epoch)
 	r.mu.Unlock()
-}
-
-// observeEpochLocked is the single raise-only write path for observed
-// epochs (records, checkpoints, peer pushes); r.mu must be held. Keeping
-// every adoption behind this guard is what makes the fence monotone: no
-// caller can regress the epoch by writing the field directly.
-func (r *Root) observeEpochLocked(epoch uint64) {
-	if epoch > r.epoch {
-		r.epoch = epoch
-	}
 }
 
 // SetOnCommit installs the per-applied-batch replication tap. It must be
@@ -145,12 +145,12 @@ func (r *Root) Fence() {
 func (r *Root) fenceCheck(epoch uint64) *transport.RootMsg {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if epoch <= r.epoch {
+	if epoch <= r.epoch.Load() {
 		return nil
 	}
 	r.stats.FencedNacks++
 	r.stats.NacksSent++
-	return &transport.RootMsg{Nack: transport.NackFenced, Epoch: r.epoch}
+	return &transport.RootMsg{Nack: transport.NackFenced, Epoch: r.epoch.Load()}
 }
 
 // SnapshotBlob captures the root's full durable state as an
@@ -224,7 +224,7 @@ func (r *Root) ApplyRecord(rec *transport.ReplRecord) error {
 	// The same commit as the primary's, so the models stay bit-identical
 	// under any ServerLR; a standby mirrors no deferred queue.
 	r.version = r.engine.Commit(&fl.Round{Number: int(rec.Seq), Delta: rec.Delta}, r.global, r.deferred)
-	r.observeEpochLocked(rec.Epoch)
+	r.epoch.Raise(rec.Epoch)
 	if rec.ShardVersion > r.shard.Version {
 		r.shard.Version = rec.ShardVersion
 	}

@@ -1,12 +1,15 @@
 package topology
 
 import (
+	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/asyncfl/asyncfilter/internal/obsv"
 	"github.com/asyncfl/asyncfilter/internal/transport"
 )
 
@@ -141,6 +144,71 @@ func TestObserveEpochOnlyRaises(t *testing.T) {
 	root.ObserveEpoch(2)
 	if got := root.Epoch(); got != 5 {
 		t.Fatalf("epoch regressed to %d", got)
+	}
+}
+
+// TestPromoteEpochPersistFailure: PromoteEpoch promises the epoch is on
+// disk before it returns, so a failed persist must reach the caller
+// rather than read as a promotion.
+func TestPromoteEpochPersistFailure(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	root, err := NewRoot(RootConfig{
+		InitialParams:  make([]float64, rootTestDim),
+		Rounds:         4,
+		CheckpointPath: filepath.Join(dir, "root.ckpt"),
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	err = root.PromoteEpoch(1)
+	if err == nil {
+		t.Fatal("PromoteEpoch returned nil with its checkpoint directory gone")
+	}
+	if errors.Is(err, ErrEpochNotAbove) {
+		t.Fatalf("persist failure reported as a refusal: %v", err)
+	}
+	if err := root.PromoteEpoch(1); !errors.Is(err, ErrEpochNotAbove) {
+		t.Errorf("second PromoteEpoch(1) = %v, want ErrEpochNotAbove (the failed epoch stays spent)", err)
+	}
+}
+
+// TestEdgeEpochOnlyRaises: an edge keeps the highest epoch any root
+// reply carried; a reply from an older generation moves neither Epoch
+// nor the afl_edge_root_epoch gauge.
+func TestEdgeEpochOnlyRaises(t *testing.T) {
+	hub := obsv.NewHub(0)
+	edge, err := NewEdge(EdgeConfig{
+		EdgeID:   3,
+		RootAddr: "127.0.0.1:1",
+		Server: transport.ServerConfig{
+			InitialParams:   make([]float64, rootTestDim),
+			AggregationGoal: 2,
+			Rounds:          1,
+		},
+		Obsv: hub,
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	gauge := hub.Registry.Gauge(`afl_edge_root_epoch{edge="3"}`)
+	for _, tc := range []struct{ reply, want uint64 }{{5, 5}, {2, 5}} {
+		if err := edge.handleReply(&transport.RootMsg{Epoch: tc.reply}); err != nil {
+			t.Fatalf("reply at epoch %d: %v", tc.reply, err)
+		}
+		if got := edge.Epoch(); got != tc.want {
+			t.Errorf("after a reply at epoch %d: Epoch() = %d, want %d", tc.reply, got, tc.want)
+		}
+		if got := gauge.Value(); got != float64(tc.want) {
+			t.Errorf("after a reply at epoch %d: afl_edge_root_epoch = %v, want %d", tc.reply, got, tc.want)
+		}
 	}
 }
 

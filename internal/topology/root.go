@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/asyncfl/asyncfilter/internal/checkpoint"
+	"github.com/asyncfl/asyncfilter/internal/fence"
 	"github.com/asyncfl/asyncfilter/internal/fl"
 	"github.com/asyncfl/asyncfilter/internal/obsv"
 	"github.com/asyncfl/asyncfilter/internal/transport"
@@ -158,7 +159,7 @@ type Root struct {
 	// epoch is the fencing epoch this root serves under; peers is the
 	// static root peer list relayed to edges (internal/replica). Both are
 	// zero-valued on an unreplicated root.
-	epoch        uint64
+	epoch        fence.Epoch
 	peers        []string
 	peersVersion int
 	stats        RootStats
@@ -498,7 +499,7 @@ func (r *Root) handle(conn net.Conn) {
 func (r *Root) sendReply(uc *transport.UpstreamConn, es *edgeState, reply *transport.RootMsg, sentShard, sentPeers *int) bool {
 	var handoff []byte
 	r.mu.Lock()
-	reply.Epoch = r.epoch
+	reply.Epoch = r.epoch.Load()
 	if *sentShard != r.shard.Version && len(r.shard.Edges) > 0 {
 		reply.Shards = r.shard.Clone()
 		*sentShard = r.shard.Version
@@ -728,7 +729,7 @@ func (r *Root) buildReplRecord(es *edgeState, b *transport.BatchMsg, delta []flo
 	//lint:ignore hotalloc the record must own its payload: it escapes to the replication stream, so a fresh struct and a deep-copied delta are the contract (arena reuse tracked by ROADMAP item 2)
 	return &transport.ReplRecord{
 		Seq:          uint64(r.version),
-		Epoch:        r.epoch,
+		Epoch:        r.epoch.Load(),
 		EdgeID:       es.id,
 		BatchID:      b.BatchID,
 		EdgeAddr:     es.clientAddr,
@@ -890,7 +891,7 @@ func (r *Root) captureCkpt() rootCkpt {
 		Stats:        r.stats,
 		ShardVersion: r.shard.Version,
 		FilterName:   r.engine.Filter().Name(),
-		Epoch:        r.epoch,
+		Epoch:        r.epoch.Load(),
 	}
 	ck.Deferred = r.deferred.Snapshot().Updates
 	ck.Orphans = r.orphans
@@ -917,16 +918,18 @@ func (r *Root) captureCkpt() rootCkpt {
 }
 
 // writeCheckpoint captures and persists the root state. The caller must
-// hold the round slot; no lock is held across the file write.
-func (r *Root) writeCheckpoint() {
+// hold the round slot; no lock is held across the file write. A failure
+// is logged here, so a caller that can carry on may drop the error.
+func (r *Root) writeCheckpoint() error {
 	ck := r.captureCkpt()
 	if err := checkpoint.Save(r.cfg.CheckpointPath, &ck); err != nil {
 		log.Printf("topology: root checkpoint failed: %v", err)
-		return
+		return err
 	}
 	r.mu.Lock()
 	r.stats.Checkpoints++
 	r.mu.Unlock()
+	return nil
 }
 
 // restoreFromCheckpoint loads an existing snapshot into a freshly built
@@ -987,7 +990,7 @@ func (r *Root) adoptCkpt(ck *rootCkpt, where string) error {
 	r.shard.Version = ck.ShardVersion
 	r.deferred.Restore(fl.BufferState{Updates: ck.Deferred})
 	r.orphans = ck.Orphans
-	r.observeEpochLocked(ck.Epoch)
+	r.epoch.Raise(ck.Epoch)
 	r.edges = make(map[int]*edgeState, len(ck.Edges))
 	for _, ec := range ck.Edges {
 		r.edges[ec.ID] = &edgeState{
