@@ -1,5 +1,5 @@
-// Package hotalloc is the annotation-driven allocation lint preparing
-// ROADMAP item 2's arena rewrite: functions marked with an
+// Package hotalloc is the annotation-driven allocation lint behind the
+// pooled vector arenas of DESIGN.md §14: functions marked with an
 //
 //	//afl:hotpath
 //
@@ -147,7 +147,7 @@ func isPooledDirective(text string) bool {
 func (c *checker) checkHot(decl *ast.FuncDecl) {
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		if reason := c.allocSite(n, true); reason != "" {
-			c.pass.Reportf(n.Pos(), "hot path (%s) %s: reuse a caller-provided buffer or pool it (ROADMAP item 2 arenas), or justify with //lint:ignore hotalloc <reason>", Directive, reason)
+			c.pass.Reportf(n.Pos(), "hot path (%s) %s: reuse a caller-provided buffer or pool it (DESIGN.md §14 arenas), or justify with //lint:ignore hotalloc <reason>", Directive, reason)
 		}
 		return true
 	})

@@ -374,44 +374,3 @@ func PartitionIIDFixedSize(d *Dataset, n, size int, r *rand.Rand) ([]*Dataset, e
 	}
 	return shards, nil
 }
-
-// HeterogeneityIndex quantifies how non-IID a partition is: the mean
-// total-variation distance between each shard's label distribution and the
-// global label distribution, in [0, 1). 0 means perfectly IID.
-func HeterogeneityIndex(shards []*Dataset) float64 {
-	if len(shards) == 0 {
-		return 0
-	}
-	numClasses := shards[0].NumClasses
-	global := make([]float64, numClasses)
-	var total float64
-	for _, s := range shards {
-		for _, c := range s.LabelCounts() {
-			total += float64(c)
-		}
-	}
-	for _, s := range shards {
-		for label, c := range s.LabelCounts() {
-			global[label] += float64(c) / total
-		}
-	}
-	var sumTV float64
-	for _, s := range shards {
-		counts := s.LabelCounts()
-		n := float64(s.Len())
-		var tv float64
-		for label, c := range counts {
-			p := float64(c) / n
-			tv += 0.5 * abs(p-global[label])
-		}
-		sumTV += tv
-	}
-	return sumTV / float64(len(shards))
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

@@ -17,6 +17,28 @@ func mustGenerate(t *testing.T, cfg SyntheticConfig) (*Dataset, *Dataset) {
 	return train, test
 }
 
+// heterogeneity quantifies how non-IID a partition is: the mean
+// total-variation distance between each shard's label distribution and
+// the global label distribution, in [0, 1). 0 means perfectly IID.
+func heterogeneity(shards []*Dataset) float64 {
+	global := make([]float64, shards[0].NumClasses)
+	var total float64
+	for _, s := range shards {
+		for label, c := range s.LabelCounts() {
+			global[label] += float64(c)
+			total += float64(c)
+		}
+	}
+	var sumTV float64
+	for _, s := range shards {
+		n := float64(s.Len())
+		for label, c := range s.LabelCounts() {
+			sumTV += 0.5 * math.Abs(float64(c)/n-global[label]/total)
+		}
+	}
+	return sumTV / float64(len(shards))
+}
+
 func smallConfig() SyntheticConfig {
 	return SyntheticConfig{
 		Name:       "small",
@@ -188,7 +210,7 @@ func TestPartitionIIDIsNearUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := HeterogeneityIndex(shards)
+	h := heterogeneity(shards)
 	if h > 0.1 {
 		t.Errorf("IID heterogeneity index = %v, want < 0.1", h)
 	}
@@ -226,8 +248,8 @@ func TestPartitionDirichletSmallerAlphaMoreSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hLow := HeterogeneityIndex(lowAlpha)
-	hHigh := HeterogeneityIndex(highAlpha)
+	hLow := heterogeneity(lowAlpha)
+	hHigh := heterogeneity(highAlpha)
 	if hLow <= hHigh {
 		t.Errorf("alpha=0.01 heterogeneity (%v) should exceed alpha=100 (%v)", hLow, hHigh)
 	}
@@ -274,12 +296,6 @@ func TestPresetsGenerate(t *testing.T) {
 func TestPresetUnknown(t *testing.T) {
 	if _, err := Preset("imagenet"); err == nil {
 		t.Error("unknown preset accepted")
-	}
-}
-
-func TestHeterogeneityIndexEmpty(t *testing.T) {
-	if got := HeterogeneityIndex(nil); got != 0 {
-		t.Errorf("HeterogeneityIndex(nil) = %v, want 0", got)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/sim"
 	"github.com/asyncfl/asyncfilter/internal/stats"
 	"github.com/asyncfl/asyncfilter/internal/tsne"
-	"github.com/asyncfl/asyncfilter/internal/vecmath"
 )
 
 // EmbeddingPoint is one local update in the 2-D t-SNE embedding of
@@ -301,17 +300,4 @@ func RunKMeansAblation(scale Scale) (*AblationResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// MeanUpdateNorm is a helper shared by analysis tooling: the mean L2 norm
-// of a batch of updates.
-func MeanUpdateNorm(updates []*fl.Update) float64 {
-	if len(updates) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, u := range updates {
-		sum += vecmath.Norm2(u.Delta)
-	}
-	return sum / float64(len(updates))
 }

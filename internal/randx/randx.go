@@ -29,15 +29,6 @@ func Split(r *rand.Rand) *rand.Rand {
 	return rand.New(rand.NewSource(r.Int63()))
 }
 
-// SplitN derives n independent child generators from r.
-func SplitN(r *rand.Rand, n int) []*rand.Rand {
-	out := make([]*rand.Rand, n)
-	for i := range out {
-		out[i] = Split(r)
-	}
-	return out
-}
-
 // NormalVector fills a fresh length-n vector with independent draws from
 // N(mean, std^2).
 func NormalVector(r *rand.Rand, n int, mean, std float64) []float64 {
@@ -266,9 +257,4 @@ func Multinomial(r *rand.Rand, n int, probs []float64) []int {
 		counts[WeightedChoice(r, probs)]++
 	}
 	return counts
-}
-
-// Bernoulli reports true with probability p.
-func Bernoulli(r *rand.Rand, p float64) bool {
-	return r.Float64() < p
 }

@@ -31,21 +31,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestSplitN(t *testing.T) {
-	rs := SplitN(New(1), 5)
-	if len(rs) != 5 {
-		t.Fatalf("SplitN returned %d generators, want 5", len(rs))
-	}
-	seen := map[int64]bool{}
-	for _, r := range rs {
-		v := r.Int63()
-		if seen[v] {
-			t.Error("two split generators produced identical first draws")
-		}
-		seen[v] = true
-	}
-}
-
 func TestNormalVectorMoments(t *testing.T) {
 	r := New(3)
 	v := NormalVector(r, 200000, 2, 3)
@@ -281,20 +266,6 @@ func TestMultinomialCountsSum(t *testing.T) {
 	}
 	if total != 1000 {
 		t.Errorf("multinomial counts sum to %d, want 1000", total)
-	}
-}
-
-func TestBernoulli(t *testing.T) {
-	r := New(15)
-	hits := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if Bernoulli(r, 0.3) {
-			hits++
-		}
-	}
-	if math.Abs(float64(hits)/n-0.3) > 0.02 {
-		t.Errorf("Bernoulli(0.3) frequency = %v", float64(hits)/n)
 	}
 }
 

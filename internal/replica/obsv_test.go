@@ -1,57 +1,74 @@
 package replica
 
 import (
+	"os"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/asyncfl/asyncfilter/internal/obsv"
 )
 
-// statMirror must cover every Stats field exactly once: the /metrics
-// contract is "afl_replica counters match Node.Stats() exactly", so a
-// new stats field without a mirror entry — RecordsLostOnPromote and
-// Promotions once lived only in Stats() — is a bug this test catches.
+// Stats must be a valid mirror source: every field an int tagged with a
+// unique afl_replica series name (obsv.Mirror panics otherwise), so a new
+// counter cannot miss /metrics — RecordsLostOnPromote and Promotions once
+// lived only in Stats().
 func TestReplicaStatMirrorCoversAllStats(t *testing.T) {
-	typ := reflect.TypeOf(Stats{})
-	if typ.NumField() != len(statMirror) {
-		t.Fatalf("Stats has %d fields but statMirror has %d entries — add the missing mirror",
-			typ.NumField(), len(statMirror))
+	reg := obsv.NewRegistry()
+	obsv.Mirror(reg, "", func() Stats { return Stats{} })
+	if got, want := len(reg.Snapshot().Counters), reflect.TypeOf(Stats{}).NumField(); got != want {
+		t.Fatalf("mirror registers %d series for %d Stats fields", got, want)
 	}
-
-	// Give every field a distinct value and demand every getter reads a
-	// distinct field: the multiset of getter outputs must be exactly the
-	// field values.
-	var st Stats
-	v := reflect.ValueOf(&st).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetInt(int64(i + 1))
-	}
-	seen := make(map[int]string, len(statMirror))
-	for _, m := range statMirror {
-		got := m.Get(&st)
-		if got < 1 || got > typ.NumField() {
-			t.Errorf("%s reads %d, not a planted field value", m.Name, got)
-			continue
+	series := replicaSeries()
+	for name := range series {
+		if !strings.HasPrefix(name, "afl_replica_") {
+			t.Errorf("Stats series %s is outside the afl_replica family", name)
 		}
-		if prev, dup := seen[got]; dup {
-			t.Errorf("%s and %s read the same Stats field", m.Name, prev)
-		}
-		seen[got] = m.Name
-	}
-
-	// The ISSUE-named series must exist under these exact names.
-	names := make(map[string]bool, len(statMirror))
-	for _, m := range statMirror {
-		names[m.Name] = true
 	}
 	for _, want := range []string{
 		"afl_replica_promotions_total",
 		"afl_replica_records_lost_on_promote_total",
 		"afl_replica_votes_total",
 	} {
-		if !names[want] {
-			t.Errorf("statMirror is missing the %s series", want)
+		if !series[want] {
+			t.Errorf("Stats is missing the %s series", want)
+		}
+	}
+}
+
+// replicaSeries is every afl_replica series a node registers: the Stats
+// tags plus the gauges the node sets directly.
+func replicaSeries() map[string]bool {
+	series := map[string]bool{
+		"afl_replica_role":             true,
+		"afl_replica_epoch":            true,
+		"afl_replica_quorum_size":      true,
+		"afl_replica_lag_records":      true,
+		"afl_replica_election_seconds": true,
+	}
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		series[typ.Field(i).Tag.Get("metric")] = true
+	}
+	return series
+}
+
+// The operator docs may only name replica series that exist: a runbook
+// that says to watch a series no scrape carries is a silent doc bug.
+func TestDocsNameOnlyRegisteredReplicaSeries(t *testing.T) {
+	series := replicaSeries()
+	token := regexp.MustCompile("`(afl_replica_[a-z_]+)")
+	for _, doc := range []string{"../../README.md", "../../DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range token.FindAllStringSubmatch(string(text), -1) {
+			if !series[m[1]] {
+				t.Errorf("%s names %s, which no replica node registers", doc, m[1])
+			}
 		}
 	}
 }

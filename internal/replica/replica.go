@@ -217,35 +217,45 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts a node's replication activity.
+// Stats counts a node's replication activity. Each field is mirrored on
+// /metrics under its metric tag (obsv.Mirror), so a scrape equals Stats()
+// exactly.
 type Stats struct {
 	// RecordsStreamed counts records pushed to standbys (one per record
 	// per standby); SnapshotsServed counts full snapshots sent; and
 	// StandbyAttaches counts accepted standby hellos. Primary side.
-	RecordsStreamed, SnapshotsServed, StandbyAttaches int
+	RecordsStreamed int `metric:"afl_replica_records_streamed_total"`
+	SnapshotsServed int `metric:"afl_replica_snapshots_served_total"`
+	StandbyAttaches int `metric:"afl_replica_standby_attaches_total"`
 	// RecordsApplied and SnapshotsInstalled count what a standby
 	// mirrored; UplinkFailures counts failed dials or broken sessions.
-	RecordsApplied, SnapshotsInstalled, UplinkFailures int
+	RecordsApplied     int `metric:"afl_replica_records_applied_total"`
+	SnapshotsInstalled int `metric:"afl_replica_snapshots_installed_total"`
+	UplinkFailures     int `metric:"afl_replica_uplink_failures_total"`
 	// Promotions counts promotions to primary (0 or 1 per node);
 	// RecordsLostOnPromote is the replication lag at promotion time —
 	// committed primary batches the standby never received. The edges'
 	// batch replay reconciles most of them; the watermark audit counts
 	// the rest as BatchesLost, never as double-applies.
-	Promotions           int
-	RecordsLostOnPromote int
+	Promotions           int `metric:"afl_replica_promotions_total"`
+	RecordsLostOnPromote int `metric:"afl_replica_records_lost_on_promote_total"`
 	// FencedNacksSent counts standbys this node refused for carrying a
 	// newer epoch; FencedObserved counts times this node learned it was
 	// stale (or its upstream was) from a replication exchange.
-	FencedNacksSent, FencedObserved int
+	FencedNacksSent int `metric:"afl_replica_fenced_nacks_sent_total"`
+	FencedObserved  int `metric:"afl_replica_fenced_observed_total"`
 	// ElectionsStarted, ElectionsWon and ElectionsLost count this node's
 	// candidacies in a quorum group: every lease expiry starts one, a
 	// majority of grants wins it, anything else (no quorum, a resurfaced
 	// primary, an overtaking epoch) loses it back to standby.
-	ElectionsStarted, ElectionsWon, ElectionsLost int
+	ElectionsStarted int `metric:"afl_replica_elections_started_total"`
+	ElectionsWon     int `metric:"afl_replica_elections_won_total"`
+	ElectionsLost    int `metric:"afl_replica_elections_lost_total"`
 	// VotesGranted and VotesRefused count this node's voter-side
 	// decisions. A grant is durable before it is counted: the ledger
 	// persists (epoch, candidate) before the reply leaves the wire.
-	VotesGranted, VotesRefused int
+	VotesGranted int `metric:"afl_replica_votes_total"`
+	VotesRefused int `metric:"afl_replica_votes_refused_total"`
 }
 
 // subscriber is one attached standby on the primary side. The record
@@ -364,7 +374,9 @@ func NewNode(cfg Config, root *topology.Root) (*Node, error) {
 	n.noteRole(n.role)
 	n.noteEpoch()
 	n.noteQuorum()
-	n.registerStatMirror()
+	if cfg.Obsv != nil {
+		obsv.Mirror(cfg.Obsv.Registry, "", n.Stats)
+	}
 	return n, nil
 }
 

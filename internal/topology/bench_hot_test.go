@@ -8,8 +8,8 @@ import (
 
 // BenchmarkHotBuildReplRecord measures the annotated //afl:hotpath
 // replication record build: one record with a deep-copied delta per
-// applied batch. allocs/op is the replication baseline for the ROADMAP
-// item 2 arena work. Run via `make bench-hot` (with -benchmem).
+// applied batch. allocs/op is the replication baseline for the arena
+// work of DESIGN.md §14. Run via `make bench-hot` (with -benchmem).
 func BenchmarkHotBuildReplRecord(b *testing.B) {
 	const dim = 256
 	root, err := NewRoot(RootConfig{InitialParams: make([]float64, dim), Rounds: 1}, nil, nil)

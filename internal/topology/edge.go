@@ -79,30 +79,38 @@ type EdgeConfig struct {
 
 // EdgeStats summarizes an edge's upstream behaviour (the client-facing
 // side is covered by the embedded transport server's own ServerStats).
+// Each field is mirrored on /metrics under its metric tag with the
+// edge's {edge="N"} label (obsv.Mirror), so a scrape equals Stats().
 type EdgeStats struct {
 	// BatchesCommitted counts local rounds committed (and therefore
 	// enqueued for the root); BatchesSent counts transmissions including
 	// replays; BatchesAcked counts distinct batches the root acknowledged;
 	// BatchesShed counts batches dropped oldest-first because the
 	// degraded-mode buffer was full.
-	BatchesCommitted, BatchesSent, BatchesAcked, BatchesShed int
+	BatchesCommitted int `metric:"afl_edge_batches_committed_total"`
+	BatchesSent      int `metric:"afl_edge_batches_sent_total"`
+	BatchesAcked     int `metric:"afl_edge_batches_acked_total"`
+	BatchesShed      int `metric:"afl_edge_batches_shed_total"`
 	// UplinkSessions counts established root sessions (the first one and
 	// every reconnect); UplinkFailures counts failed dials and broken
 	// sessions.
-	UplinkSessions, UplinkFailures int
+	UplinkSessions int `metric:"afl_edge_uplink_sessions_total"`
+	UplinkFailures int `metric:"afl_edge_uplink_failures_total"`
 	// HandoffsMerged counts dead peers' filter snapshots merged into the
 	// local filter; HandoffErrors counts handoffs that failed to decode or
 	// merge.
-	HandoffsMerged, HandoffErrors int
+	HandoffsMerged int `metric:"afl_edge_handoffs_merged_total"`
+	HandoffErrors  int `metric:"afl_edge_handoff_errors_total"`
 	// SnapshotErrors counts local filter snapshots that failed (the batch
 	// is forwarded without detection state).
-	SnapshotErrors int
+	SnapshotErrors int `metric:"afl_edge_snapshot_errors_total"`
 	// UplinkRehomes counts sessions established with a different root
 	// than the previous session — the edge found the promoted standby
 	// through the relayed peer list. FencedRoots counts NackFenced
 	// replies received: stale primaries this edge refused to feed
 	// because it had already seen a newer epoch.
-	UplinkRehomes, FencedRoots int
+	UplinkRehomes int `metric:"afl_edge_uplink_rehomes_total"`
+	FencedRoots   int `metric:"afl_edge_fenced_roots_total"`
 }
 
 // Edge is one edge aggregator: a full transport server facing clients,
@@ -187,6 +195,9 @@ func NewEdge(cfg EdgeConfig, filter fl.Filter, combiner fl.Combiner) (*Edge, err
 		return nil, err
 	}
 	e.server = server
+	if cfg.Obsv != nil {
+		obsv.Mirror(cfg.Obsv.Registry, e.label, e.Stats)
+	}
 	return e, nil
 }
 
@@ -280,7 +291,6 @@ func (e *Edge) commitRound(version int, accepted []*fl.Update) {
 	for len(e.pending) > e.cfg.MaxPendingBatches {
 		e.pending = e.pending[1:]
 		e.stats.BatchesShed++
-		e.noteCounterLocked("afl_edge_batches_shed_total")
 	}
 	e.noteGaugeLocked("afl_edge_pending_batches", float64(len(e.pending)))
 	e.mu.Unlock()
@@ -420,11 +430,9 @@ func (e *Edge) session(uc *transport.UpstreamConn, addr string) error {
 	e.stats.UplinkSessions++
 	if e.lastTarget != "" && e.lastTarget != addr {
 		e.stats.UplinkRehomes++
-		e.noteCounterLocked("afl_edge_uplink_rehomes_total")
 	}
 	e.lastTarget = addr
 	e.mu.Unlock()
-	e.noteCounter("afl_edge_uplink_sessions_total")
 	if reply.Done {
 		e.setRootDone()
 		return nil
@@ -464,7 +472,6 @@ func (e *Edge) session(uc *transport.UpstreamConn, addr string) error {
 			e.mu.Lock()
 			e.stats.BatchesSent++
 			e.mu.Unlock()
-			e.noteCounter("afl_edge_batches_sent_total")
 		}
 		reply, err := uc.ReadRoot()
 		if err != nil {
@@ -516,7 +523,6 @@ func (e *Edge) handleReply(reply *transport.RootMsg) error {
 		// demoting. Rotate on (the uplink loop advances the target).
 		e.mu.Lock()
 		e.stats.FencedRoots++
-		e.noteCounterLocked("afl_edge_fenced_roots_total")
 		e.mu.Unlock()
 		return fmt.Errorf("topology: root refused: %s (stale primary demoting)", reply.Nack)
 	}
@@ -635,7 +641,6 @@ func (e *Edge) mergeHandoff(blob []byte) {
 		e.stats.HandoffErrors++
 	} else {
 		e.stats.HandoffsMerged++
-		e.noteCounterLocked("afl_edge_handoffs_merged_total")
 	}
 	e.mu.Unlock()
 	if err != nil {
@@ -679,25 +684,11 @@ func (e *Edge) setRootDone() {
 func (e *Edge) noteUplinkFailure() {
 	e.mu.Lock()
 	e.stats.UplinkFailures++
-	e.noteCounterLocked("afl_edge_uplink_failures_total")
 	e.mu.Unlock()
 }
 
-// noteCounter / noteCounterLocked / noteGaugeLocked bump per-edge labeled
-// metrics; no-ops without an attached hub. The registry's own atomics make
-// the increments safe with or without e.mu held.
-func (e *Edge) noteCounter(name string) {
-	if e.cfg.Obsv != nil {
-		e.cfg.Obsv.Registry.Counter(name + e.label).Inc()
-	}
-}
-
-func (e *Edge) noteCounterLocked(name string) {
-	if e.cfg.Obsv != nil {
-		e.cfg.Obsv.Registry.Counter(name + e.label).Inc()
-	}
-}
-
+// noteGaugeLocked sets a per-edge labeled gauge; a no-op without an
+// attached hub.
 func (e *Edge) noteGaugeLocked(name string, v float64) {
 	if e.cfg.Obsv != nil {
 		e.cfg.Obsv.Registry.Gauge(name + e.label).Set(v)

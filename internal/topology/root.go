@@ -726,7 +726,7 @@ func (r *Root) applyBatch(es *edgeState, b *transport.BatchMsg) *transport.RootM
 //
 //afl:hotpath
 func (r *Root) buildReplRecord(es *edgeState, b *transport.BatchMsg, delta []float64, accepted, deferred, rejected int) *transport.ReplRecord {
-	//lint:ignore hotalloc the record must own its payload: it escapes to the replication stream, so a fresh struct and a deep-copied delta are the contract (arena reuse tracked by ROADMAP item 2)
+	//lint:ignore hotalloc the record must own its payload: it escapes to the replication stream, so a fresh struct and a deep-copied delta are the contract (arena design in DESIGN.md §14)
 	return &transport.ReplRecord{
 		Seq:          uint64(r.version),
 		Epoch:        r.epoch.Load(),

@@ -60,7 +60,7 @@ func benchWireEdgeBatch(b *testing.B, codec Codec) {
 }
 
 // BenchmarkHotWireEdgeBatch measures the binary frame envelope — the
-// serving codec since ROADMAP item 2 — and is gated against the gob-era
+// serving codec described in DESIGN.md §14 — and is gated against the gob-era
 // BENCH_8 baseline by cmd/benchgate. Run via `make bench-hot`.
 func BenchmarkHotWireEdgeBatch(b *testing.B) {
 	benchWireEdgeBatch(b, CodecBinary)

@@ -7,38 +7,6 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/obsv"
 )
 
-// statMirror maps every /metrics counter of the afl_server family to the
-// ServerStats field it mirrors. The mirroring runs as an OnCollect
-// callback (see newServerObs), so a scrape always reflects Server.Stats()
-// exactly — the table is the single source of truth shared by the
-// collector, the integration tests and the README's field-mapping docs.
-// A reflection test asserts the table covers every ServerStats field.
-var statMirror = []struct {
-	Name string
-	Get  func(st *ServerStats) int
-}{
-	{"afl_rounds_total", func(st *ServerStats) int { return st.Rounds }},
-	{"afl_accepted_total", func(st *ServerStats) int { return st.Accepted }},
-	{"afl_deferred_total", func(st *ServerStats) int { return st.Deferred }},
-	{"afl_rejected_total", func(st *ServerStats) int { return st.Rejected }},
-	{"afl_dropped_stale_total", func(st *ServerStats) int { return st.DroppedStale }},
-	{"afl_dropped_malformed_total", func(st *ServerStats) int { return st.DroppedMalformed }},
-	{"afl_dropped_oversize_total", func(st *ServerStats) int { return st.DroppedOversize }},
-	{"afl_updates_received_total", func(st *ServerStats) int { return st.UpdatesReceived }},
-	{"afl_watchdog_rounds_total", func(st *ServerStats) int { return st.WatchdogRounds }},
-	{"afl_clients_connected", func(st *ServerStats) int { return st.ClientsConnected }},
-	{"afl_reconnects_total", func(st *ServerStats) int { return st.Reconnects }},
-	{"afl_handler_panics_total", func(st *ServerStats) int { return st.HandlerPanics }},
-	{"afl_checkpoints_total", func(st *ServerStats) int { return st.Checkpoints }},
-	{"afl_dropped_shed_total", func(st *ServerStats) int { return st.DroppedShed }},
-	{"afl_dropped_rate_limited_total", func(st *ServerStats) int { return st.DroppedRateLimited }},
-	{"afl_dropped_quarantined_total", func(st *ServerStats) int { return st.DroppedQuarantined }},
-	{"afl_quarantined_clients_total", func(st *ServerStats) int { return st.QuarantinedClients }},
-	{"afl_expired_leases_total", func(st *ServerStats) int { return st.ExpiredLeases }},
-	{"afl_heartbeats_total", func(st *ServerStats) int { return st.Heartbeats }},
-	{"afl_nacks_sent_total", func(st *ServerStats) int { return st.NacksSent }},
-}
-
 // nackCodes enumerates every NackCode for per-code counter registration.
 var nackCodes = []NackCode{
 	NackRateLimited, NackOverloaded, NackQuarantined, NackDraining, NackMalformed,
@@ -54,9 +22,9 @@ type serverObs struct {
 	nacks        map[NackCode]*obsv.Counter
 }
 
-// newServerObs wires a hub to a server: the stats-mirror collector, the
+// newServerObs wires a hub to a server: the ServerStats mirror, the
 // round-latency and batch-size histograms, and the per-code NACK
-// counters. The collector calls s.Stats() on the scraping goroutine —
+// counters. The mirror calls s.Stats() on the scraping goroutine —
 // never while s.mu is held by the scraper itself — so the mirrored
 // counters are exactly the values Stats() returns at scrape time.
 func newServerObs(hub *obsv.Hub, s *Server) *serverObs {
@@ -69,16 +37,7 @@ func newServerObs(hub *obsv.Hub, s *Server) *serverObs {
 	for _, code := range nackCodes {
 		o.nacks[code] = hub.Registry.Counter(`afl_nacks_total{code="` + code.String() + `"}`)
 	}
-	mirror := make([]*obsv.Counter, len(statMirror))
-	for i, m := range statMirror {
-		mirror[i] = hub.Registry.Counter(m.Name)
-	}
-	hub.Registry.OnCollect(func() {
-		st := s.Stats()
-		for i, m := range statMirror {
-			mirror[i].Set(uint64(m.Get(&st)))
-		}
-	})
+	obsv.Mirror(hub.Registry, "", s.Stats)
 	return o
 }
 

@@ -19,36 +19,26 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/obsv"
 )
 
-// statMirror must cover every ServerStats field exactly once: the
-// /metrics contract is "counters match Server.Stats() exactly", so a new
-// stats field without a mirror entry is a bug this test catches.
+// ServerStats must be a valid mirror source: every field an int tagged
+// with a unique afl_ series name (obsv.Mirror panics otherwise), so the
+// /metrics contract "counters match Server.Stats() exactly" cannot miss
+// a field.
 func TestStatMirrorCoversAllStats(t *testing.T) {
-	typ := reflect.TypeOf(ServerStats{})
-	if typ.NumField() != len(statMirror) {
-		t.Fatalf("ServerStats has %d fields but statMirror has %d entries — add the missing mirror",
-			typ.NumField(), len(statMirror))
+	reg := obsv.NewRegistry()
+	obsv.Mirror(reg, "", func() ServerStats { return ServerStats{} })
+	if got, want := len(reg.Snapshot().Counters), reflect.TypeOf(ServerStats{}).NumField(); got != want {
+		t.Fatalf("mirror registers %d series for %d ServerStats fields", got, want)
 	}
+}
 
-	// Give every field a distinct value and demand every getter reads a
-	// distinct field: the multiset of getter outputs must be exactly the
-	// field values.
-	var st ServerStats
-	v := reflect.ValueOf(&st).Elem()
+// taggedStats reads st through its metric tags: series name -> value.
+func taggedStats(st ServerStats) map[string]int {
+	v := reflect.ValueOf(st)
+	out := make(map[string]int, v.NumField())
 	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetInt(int64(i + 1))
+		out[v.Type().Field(i).Tag.Get("metric")] = int(v.Field(i).Int())
 	}
-	seen := make(map[int]string, len(statMirror))
-	for _, m := range statMirror {
-		got := m.Get(&st)
-		if got < 1 || got > typ.NumField() {
-			t.Errorf("%s reads %d, not a planted field value", m.Name, got)
-			continue
-		}
-		if prev, dup := seen[got]; dup {
-			t.Errorf("%s and %s read the same ServerStats field", m.Name, prev)
-		}
-		seen[got] = m.Name
-	}
+	return out
 }
 
 // parseMetrics reads Prometheus text into name -> integer value,
@@ -220,14 +210,14 @@ func TestObsvFaultyAttackDeployment(t *testing.T) {
 	st := server.Stats()
 	_, body := httpGet(t, introspect.URL+"/metrics")
 	metrics := parseMetrics(t, body)
-	for _, m := range statMirror {
-		got, ok := metrics[m.Name]
+	for name, want := range taggedStats(st) {
+		got, ok := metrics[name]
 		if !ok {
-			t.Errorf("/metrics missing %s", m.Name)
+			t.Errorf("/metrics missing %s", name)
 			continue
 		}
-		if want := m.Get(&st); got != want {
-			t.Errorf("%s = %d, want %d (Stats mismatch)", m.Name, got, want)
+		if got != want {
+			t.Errorf("%s = %d, want %d (Stats mismatch)", name, got, want)
 		}
 	}
 

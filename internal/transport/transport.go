@@ -411,57 +411,61 @@ func (s *Server) publishLocked() {
 	s.task.Store(pub)
 }
 
-// ServerStats summarizes a finished deployment.
+// ServerStats summarizes a finished deployment. Each field is mirrored on
+// /metrics under its metric tag (obsv.Mirror), so a scrape equals Stats()
+// exactly.
 type ServerStats struct {
 	// Rounds is the number of aggregations performed.
-	Rounds int
+	Rounds int `metric:"afl_rounds_total"`
 	// Accepted, Deferred, Rejected count filter decisions.
-	Accepted, Deferred, Rejected int
+	Accepted int `metric:"afl_accepted_total"`
+	Deferred int `metric:"afl_deferred_total"`
+	Rejected int `metric:"afl_rejected_total"`
 	// DroppedStale counts updates discarded for staleness.
-	DroppedStale int
+	DroppedStale int `metric:"afl_dropped_stale_total"`
 	// DroppedMalformed counts updates discarded for a dimension mismatch
 	// with the global model.
-	DroppedMalformed int
+	DroppedMalformed int `metric:"afl_dropped_malformed_total"`
 	// DroppedOversize counts client messages rejected by the
 	// MaxMessageBytes guard (the connection is closed).
-	DroppedOversize int
+	DroppedOversize int `metric:"afl_dropped_oversize_total"`
 	// UpdatesReceived counts all updates that reached the server.
-	UpdatesReceived int
+	UpdatesReceived int `metric:"afl_updates_received_total"`
 	// WatchdogRounds counts aggregations forced by the round-progress
 	// watchdog on a partial buffer.
-	WatchdogRounds int
+	WatchdogRounds int `metric:"afl_watchdog_rounds_total"`
 	// ClientsConnected counts distinct client IDs that completed a Hello.
-	ClientsConnected int
+	ClientsConnected int `metric:"afl_clients_connected"`
 	// Reconnects counts Hello messages from already-known client IDs.
-	Reconnects int
+	Reconnects int `metric:"afl_reconnects_total"`
 	// HandlerPanics counts panics recovered in connection handlers, the
 	// round watchdog and the filter — faults that are now isolated to the
 	// offending goroutine or round instead of killing the deployment.
-	HandlerPanics int
+	HandlerPanics int `metric:"afl_handler_panics_total"`
 	// Checkpoints counts state snapshots successfully written.
-	Checkpoints int
+	Checkpoints int `metric:"afl_checkpoints_total"`
 	// DroppedShed counts updates evicted by staleness-aware load
 	// shedding: the stalest buffered updates (or an incoming update that
 	// was itself the stalest candidate) dropped to keep the buffer within
 	// MaxPendingUpdates.
-	DroppedShed int
+	DroppedShed int `metric:"afl_dropped_shed_total"`
 	// DroppedRateLimited counts updates refused by the per-client
 	// token-bucket rate limit.
-	DroppedRateLimited int
+	DroppedRateLimited int `metric:"afl_dropped_rate_limited_total"`
 	// DroppedQuarantined counts updates refused from quarantined clients.
-	DroppedQuarantined int
+	DroppedQuarantined int `metric:"afl_dropped_quarantined_total"`
 	// QuarantinedClients counts circuit-breaker openings (a client
 	// re-quarantined after a failed half-open probe counts again).
-	QuarantinedClients int
+	QuarantinedClients int `metric:"afl_quarantined_clients_total"`
 	// ExpiredLeases counts sessions evicted by the lease sweeper because
 	// the client stopped sending (updates or heartbeats) for a full
 	// LeaseDuration.
-	ExpiredLeases int
+	ExpiredLeases int `metric:"afl_expired_leases_total"`
 	// Heartbeats counts heartbeat messages received (each renews a lease
 	// and is answered with a Pong).
-	Heartbeats int
+	Heartbeats int `metric:"afl_heartbeats_total"`
 	// NacksSent counts typed NACK replies sent to clients.
-	NacksSent int
+	NacksSent int `metric:"afl_nacks_sent_total"`
 }
 
 // NewServer builds a server. filter nil selects pass-through (FedBuff);

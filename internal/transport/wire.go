@@ -14,7 +14,7 @@ import (
 	"github.com/asyncfl/asyncfilter/internal/fl"
 )
 
-// This file implements the binary wire codec of ROADMAP item 2: a
+// This file implements the binary wire codec of DESIGN.md §14: a
 // length-prefixed frame envelope carrying raw little-endian float64
 // slabs, replacing gob's reflective encoding on every per-update hot
 // path while keeping gob as the fuzz-hardened fallback and the legacy

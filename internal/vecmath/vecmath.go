@@ -33,11 +33,6 @@ func checkLen(op string, a, b int) {
 	}
 }
 
-// Zeros returns a freshly allocated zero vector of length n.
-func Zeros(n int) []float64 {
-	return make([]float64, n)
-}
-
 // Clone returns a copy of v. Clone(nil) returns nil.
 func Clone(v []float64) []float64 {
 	if v == nil {
@@ -166,26 +161,6 @@ func SquaredNorm2(v []float64) float64 {
 	return Dot(v, v)
 }
 
-// Norm1 returns the L1 norm of v.
-func Norm1(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns the max-absolute-value norm of v.
-func NormInf(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		if a := math.Abs(x); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
 // Distance returns the Euclidean distance between a and b.
 func Distance(a, b []float64) float64 {
 	checkLen("Distance", len(a), len(b))
@@ -260,25 +235,6 @@ func Normalize(dst, v []float64) {
 		return
 	}
 	Scale(dst, 1/n, v)
-}
-
-// Normalized returns a new unit vector in the direction of v (zero vector
-// when v is zero).
-func Normalized(v []float64) []float64 {
-	dst := make([]float64, len(v))
-	Normalize(dst, v)
-	return dst
-}
-
-// Clip bounds every element of v into [lo, hi] in place.
-func Clip(v []float64, lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
 }
 
 // ClipNorm scales v in place so that ||v||2 <= maxNorm. Vectors already

@@ -12,15 +12,6 @@ func almostEqual(a, b, tol float64) bool {
 }
 
 func TestZerosAndClone(t *testing.T) {
-	z := Zeros(4)
-	if len(z) != 4 {
-		t.Fatalf("Zeros(4) length = %d, want 4", len(z))
-	}
-	for i, x := range z {
-		if x != 0 {
-			t.Errorf("Zeros(4)[%d] = %v, want 0", i, x)
-		}
-	}
 	v := []float64{1, 2, 3}
 	c := Clone(v)
 	c[0] = 99
@@ -100,12 +91,6 @@ func TestDotAndNorms(t *testing.T) {
 	if got := SquaredNorm2(a); got != 25 {
 		t.Errorf("SquaredNorm2 = %v, want 25", got)
 	}
-	if got := Norm1([]float64{-1, 2, -3}); got != 6 {
-		t.Errorf("Norm1 = %v, want 6", got)
-	}
-	if got := NormInf([]float64{-1, 2, -3}); got != 3 {
-		t.Errorf("NormInf = %v, want 3", got)
-	}
 }
 
 func TestDistance(t *testing.T) {
@@ -135,22 +120,10 @@ func TestCosine(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	v := []float64{3, 4}
-	u := Normalized(v)
+	u := make([]float64, 2)
+	Normalize(u, []float64{3, 4})
 	if !almostEqual(Norm2(u), 1, 1e-12) {
-		t.Errorf("Normalized norm = %v, want 1", Norm2(u))
-	}
-	z := Normalized([]float64{0, 0})
-	if !EqualApprox(z, []float64{0, 0}, 0) {
-		t.Errorf("Normalized zero = %v, want zero", z)
-	}
-}
-
-func TestClip(t *testing.T) {
-	v := []float64{-2, 0.5, 3}
-	Clip(v, -1, 1)
-	if !EqualApprox(v, []float64{-1, 0.5, 1}, 0) {
-		t.Errorf("Clip = %v", v)
+		t.Errorf("Normalize norm = %v, want 1", Norm2(u))
 	}
 }
 

@@ -93,50 +93,10 @@ type ServerConfig struct {
 	TraceDepth int
 }
 
-// ServerStats reports a deployment's lifetime counters.
-type ServerStats struct {
-	// Rounds is the number of aggregations performed.
-	Rounds int
-	// Accepted, Deferred, Rejected count filter decisions.
-	Accepted, Deferred, Rejected int
-	// DroppedStale counts updates discarded for staleness.
-	DroppedStale int
-	// DroppedMalformed counts updates whose delta did not match the model
-	// dimension.
-	DroppedMalformed int
-	// DroppedOversize counts messages rejected by MaxMessageBytes.
-	DroppedOversize int
-	// UpdatesReceived counts all updates that reached the server.
-	UpdatesReceived int
-	// WatchdogRounds counts partial aggregations forced by RoundTimeout.
-	WatchdogRounds int
-	// ClientsConnected counts distinct client IDs seen.
-	ClientsConnected int
-	// Reconnects counts client reconnections.
-	Reconnects int
-	// HandlerPanics counts panics recovered in handler and watchdog
-	// goroutines instead of crashing the server.
-	HandlerPanics int
-	// Checkpoints counts snapshots written successfully.
-	Checkpoints int
-	// DroppedShed counts updates shed under overload (stalest first) to
-	// respect MaxPendingUpdates.
-	DroppedShed int
-	// DroppedRateLimited counts updates NACKed by the per-client token
-	// bucket.
-	DroppedRateLimited int
-	// DroppedQuarantined counts updates refused from quarantined clients.
-	DroppedQuarantined int
-	// QuarantinedClients counts quarantine entries (a client re-entering
-	// quarantine after a failed half-open probe counts again).
-	QuarantinedClients int
-	// ExpiredLeases counts client sessions evicted for lease expiry.
-	ExpiredLeases int
-	// Heartbeats counts heartbeat messages received.
-	Heartbeats int
-	// NacksSent counts typed NACK replies sent to clients.
-	NacksSent int
-}
+// ServerStats reports a deployment's lifetime counters. It is the
+// transport layer's struct itself: each field is also a /metrics counter,
+// listed in the README's observability table.
+type ServerStats = transport.ServerStats
 
 // Server runs asynchronous federated learning over TCP with an optional
 // AsyncFilter guarding aggregation.
@@ -261,37 +221,7 @@ func (s *Server) Version() int { return s.inner.Version() }
 func (s *Server) Restored() bool { return s.inner.Restored() }
 
 // Stats returns the deployment's lifetime counters.
-func (s *Server) Stats() ServerStats {
-	return serverStatsOf(s.inner.Stats())
-}
-
-// serverStatsOf maps the transport layer's counters onto the public
-// mirror. Shared by the flat server and the edge aggregator's
-// client-facing side.
-func serverStatsOf(st transport.ServerStats) ServerStats {
-	return ServerStats{
-		Rounds:             st.Rounds,
-		Accepted:           st.Accepted,
-		Deferred:           st.Deferred,
-		Rejected:           st.Rejected,
-		DroppedStale:       st.DroppedStale,
-		DroppedMalformed:   st.DroppedMalformed,
-		DroppedOversize:    st.DroppedOversize,
-		UpdatesReceived:    st.UpdatesReceived,
-		WatchdogRounds:     st.WatchdogRounds,
-		ClientsConnected:   st.ClientsConnected,
-		Reconnects:         st.Reconnects,
-		HandlerPanics:      st.HandlerPanics,
-		Checkpoints:        st.Checkpoints,
-		DroppedShed:        st.DroppedShed,
-		DroppedRateLimited: st.DroppedRateLimited,
-		DroppedQuarantined: st.DroppedQuarantined,
-		QuarantinedClients: st.QuarantinedClients,
-		ExpiredLeases:      st.ExpiredLeases,
-		Heartbeats:         st.Heartbeats,
-		NacksSent:          st.NacksSent,
-	}
-}
+func (s *Server) Stats() ServerStats { return s.inner.Stats() }
 
 // ClientOptions parameterizes a federated client.
 type ClientOptions struct {

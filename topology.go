@@ -53,22 +53,11 @@ type EdgeServerConfig struct {
 }
 
 // EdgeServerStats summarizes an edge's upstream behaviour; the
-// client-facing side is covered by EdgeServer.Stats' ServerStats.
-type EdgeServerStats struct {
-	// BatchesCommitted counts local rounds committed; BatchesSent counts
-	// transmissions including replays; BatchesAcked counts distinct
-	// batches the root acknowledged; BatchesShed counts batches dropped
-	// oldest-first from the full degraded-mode buffer.
-	BatchesCommitted, BatchesSent, BatchesAcked, BatchesShed int
-	// UplinkSessions counts established root sessions (the first one and
-	// every reconnect); UplinkFailures counts failed dials and broken
-	// sessions.
-	UplinkSessions, UplinkFailures int
-	// HandoffsMerged counts dead peers' filter snapshots merged into the
-	// local filter; HandoffErrors counts handoffs that failed to decode
-	// or merge.
-	HandoffsMerged, HandoffErrors int
-}
+// client-facing side is covered by EdgeServer.ServerStats. It is the
+// topology layer's struct itself: each field is also an
+// afl_edge_*{edge="N"} counter, listed in the README's hierarchical
+// deployment table.
+type EdgeServerStats = topology.EdgeStats
 
 // EdgeServer is an edge aggregator: a full client-facing server plus an
 // uplink forwarding every committed batch to the root.
@@ -166,24 +155,10 @@ func (e *EdgeServer) RootDone() bool { return e.inner.RootDone() }
 
 // Stats returns the upstream counters; ServerStats returns the
 // client-facing ones.
-func (e *EdgeServer) Stats() EdgeServerStats {
-	st := e.inner.Stats()
-	return EdgeServerStats{
-		BatchesCommitted: st.BatchesCommitted,
-		BatchesSent:      st.BatchesSent,
-		BatchesAcked:     st.BatchesAcked,
-		BatchesShed:      st.BatchesShed,
-		UplinkSessions:   st.UplinkSessions,
-		UplinkFailures:   st.UplinkFailures,
-		HandoffsMerged:   st.HandoffsMerged,
-		HandoffErrors:    st.HandoffErrors,
-	}
-}
+func (e *EdgeServer) Stats() EdgeServerStats { return e.inner.Stats() }
 
 // ServerStats returns the client-facing server's lifetime counters.
-func (e *EdgeServer) ServerStats() ServerStats {
-	return serverStatsOf(e.inner.Server().Stats())
-}
+func (e *EdgeServer) ServerStats() ServerStats { return e.inner.Server().Stats() }
 
 // Close stops the edge: the uplink retires, the client listener closes
 // and the introspection listener (if any) is torn down.
@@ -291,27 +266,10 @@ type ReplicationConfig struct {
 	Codec string
 }
 
-// RootServerStats reports the root's lifetime counters.
-type RootServerStats struct {
-	// Rounds is the number of edge batches applied to the global model.
-	Rounds int
-	// BatchesApplied, BatchesReplayed and BatchesLost describe the
-	// idempotent batch protocol: replays are acknowledged without
-	// re-application, forward id gaps (shed in degraded mode or dropped
-	// by a stateless restart) are accounted as lost.
-	BatchesApplied, BatchesReplayed, BatchesLost int
-	// UpdatesReceived, Accepted, Deferred and Rejected count client
-	// updates inside applied batches and the root filter's decisions.
-	UpdatesReceived, Accepted, Deferred, Rejected int
-	// EdgesConnected counts distinct edges; EdgeReconnects counts re-Hellos
-	// from known edges; ExpiredEdgeLeases counts lease evictions.
-	EdgesConnected, EdgeReconnects, ExpiredEdgeLeases int
-	// HandoffsQueued/Delivered/Orphaned track dead edges' filter
-	// snapshots on their way to successor edges.
-	HandoffsQueued, HandoffsDelivered, HandoffsOrphaned int
-	// Checkpoints counts snapshots successfully written.
-	Checkpoints int
-}
+// RootServerStats reports the root's lifetime counters. It is the
+// topology layer's struct itself; the root's /metrics series are
+// listed in the README's hierarchical deployment table.
+type RootServerStats = topology.RootStats
 
 // RootServer is the top tier of a two-tier deployment — standalone, or
 // one node of a replicated group when RootServerConfig.Replication is
@@ -477,26 +435,7 @@ func (r *RootServer) FinalParams() []float64 { return r.inner.FinalParams() }
 func (r *RootServer) Restored() bool { return r.inner.Restored() }
 
 // Stats returns the root's lifetime counters.
-func (r *RootServer) Stats() RootServerStats {
-	st := r.inner.Stats()
-	return RootServerStats{
-		Rounds:            st.Rounds,
-		BatchesApplied:    st.BatchesApplied,
-		BatchesReplayed:   st.BatchesReplayed,
-		BatchesLost:       st.BatchesLost,
-		UpdatesReceived:   st.UpdatesReceived,
-		Accepted:          st.Accepted,
-		Deferred:          st.Deferred,
-		Rejected:          st.Rejected,
-		EdgesConnected:    st.EdgesConnected,
-		EdgeReconnects:    st.EdgeReconnects,
-		ExpiredEdgeLeases: st.ExpiredEdgeLeases,
-		HandoffsQueued:    st.HandoffsQueued,
-		HandoffsDelivered: st.HandoffsDelivered,
-		HandoffsOrphaned:  st.HandoffsOrphaned,
-		Checkpoints:       st.Checkpoints,
-	}
-}
+func (r *RootServer) Stats() RootServerStats { return r.inner.Stats() }
 
 // Close stops the root without marking the deployment finished: edges
 // treat a closed root as a partition and keep buffering, so a restarted
