@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net"
 
 	"github.com/asyncfl/asyncfilter/internal/checkpoint"
 	"github.com/asyncfl/asyncfilter/internal/fl"
@@ -121,21 +120,11 @@ func (r *Root) Fence() {
 	}
 	r.fenced = true
 	r.closed = true
-	lis := r.listener
-	open := make([]net.Conn, 0, len(r.conns))
-	for conn := range r.conns {
-		open = append(open, conn)
-	}
 	r.closeDone()
 	r.mu.Unlock()
 
 	log.Printf("topology: root fenced: a newer primary epoch exists, demoting")
-	if lis != nil {
-		_ = lis.Close()
-	}
-	for _, conn := range open {
-		_ = conn.Close()
-	}
+	_ = r.core.Close() // a listener error changes nothing for a demoted root
 }
 
 // fenceCheck inspects a request's fencing epoch. A nil return admits the

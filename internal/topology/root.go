@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"log"
 	"net"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -154,8 +153,10 @@ type Root struct {
 	version  int
 	finished bool
 	restored bool
-	closed   bool
-	fenced   bool
+	// closed is set when Close or Fence begins; from then on no batch is
+	// applied and no new edge connection is served.
+	closed bool
+	fenced bool
 	// epoch is the fencing epoch this root serves under; peers is the
 	// static root peer list relayed to edges (internal/replica). Both are
 	// zero-valued on an unreplicated root.
@@ -173,9 +174,10 @@ type Root struct {
 	// orphans holds filter snapshots of edges that died while no live
 	// survivor existed; they are adopted by the next edge to Hello so a
 	// total partition never loses learned filter state.
-	orphans  [][]byte
-	conns    map[net.Conn]struct{}
-	listener net.Listener
+	orphans [][]byte
+	// core owns the listener, the live edge connections, the accept loop,
+	// the edge-lease sweeper and the network teardown.
+	core *transport.Acceptor
 
 	// roundSlot serializes batch application (filter + combine + commit)
 	// and checkpoint capture; it is a channel semaphore rather than a
@@ -193,8 +195,6 @@ type Root struct {
 
 	done     chan struct{}
 	doneOnce sync.Once
-	wg       sync.WaitGroup
-	sweeper  sync.Once
 }
 
 // NewRoot builds a root server. filter nil selects pass-through (the root
@@ -215,9 +215,12 @@ func NewRoot(cfg RootConfig, filter fl.Filter, combiner fl.Combiner) (*Root, err
 		deferred:  deferred,
 		global:    vecmath.Clone(cfg.InitialParams),
 		edges:     make(map[int]*edgeState),
-		conns:     make(map[net.Conn]struct{}),
 		roundSlot: make(chan struct{}, 1),
 		done:      make(chan struct{}),
+	}
+	r.core = transport.NewAcceptor(r.done, r.handle, r.notePanic)
+	if cfg.EdgeLeaseDuration > 0 {
+		r.core.Every(cfg.EdgeLeaseDuration/4, "edge lease sweep", r.evictExpiredEdges)
 	}
 	if cfg.CheckpointPath != "" {
 		if err := r.restoreFromCheckpoint(cfg.CheckpointPath); err != nil {
@@ -228,47 +231,8 @@ func NewRoot(cfg RootConfig, filter fl.Filter, combiner fl.Combiner) (*Root, err
 }
 
 // Serve accepts edge connections on lis until the configured rounds
-// complete or Close is called.
-func (r *Root) Serve(lis net.Listener) error {
-	r.mu.Lock()
-	r.listener = lis
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		// Close ran before Serve: it never saw the listener, so tear it
-		// down here instead of leaking an accept loop.
-		return lis.Close()
-	}
-	stop := make(chan struct{})
-	if r.cfg.EdgeLeaseDuration > 0 {
-		r.sweeper.Do(func() {
-			r.wg.Add(1)
-			go r.sweepEdges(stop)
-		})
-	}
-	var serveErr error
-	for serveErr == nil {
-		conn, err := lis.Accept()
-		if err != nil {
-			select {
-			case <-r.done:
-			default:
-				if !r.isClosed() {
-					serveErr = fmt.Errorf("topology: accept: %w", err)
-				}
-			}
-			break
-		}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			r.handle(conn)
-		}()
-	}
-	close(stop)
-	r.wg.Wait()
-	return serveErr
-}
+// complete or Close is called; a Serve after Close returns at once.
+func (r *Root) Serve(lis net.Listener) error { return r.core.Serve(lis) }
 
 // ListenAndServe listens on addr and calls Serve.
 func (r *Root) ListenAndServe(addr string) error {
@@ -280,14 +244,7 @@ func (r *Root) ListenAndServe(addr string) error {
 }
 
 // Addr returns the listener address (empty before Serve).
-func (r *Root) Addr() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.listener == nil {
-		return ""
-	}
-	return r.listener.Addr().String()
-}
+func (r *Root) Addr() string { return r.core.Addr() }
 
 // Done is closed when the configured rounds have completed.
 func (r *Root) Done() <-chan struct{} { return r.done }
@@ -334,33 +291,28 @@ func (r *Root) Health() obsv.Health {
 	return obsv.Health{Finished: r.finished, Restored: r.restored, Rounds: r.version}
 }
 
-func (r *Root) isClosed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}
-
 // closeDone unblocks Done waiters exactly once.
 func (r *Root) closeDone() {
 	r.doneOnce.Do(func() { close(r.done) })
 }
 
-// Close stops the root: it waits for an in-flight batch application to
-// commit, writes a final checkpoint when configured, and tears down the
-// listener and every edge connection. Closing does NOT mark the
-// deployment finished — edges caught mid-reply see their connection drop
-// and treat the root as partitioned, not done, so a root shut down for
-// maintenance does not terminate the fleet's uplinks.
+// Close stops the root. From the moment it begins, no further batch is
+// applied: the in-flight one still commits, but a handler queued behind it
+// drops its connection without replying, so no edge is acked for work the
+// final checkpoint does not hold. With a CheckpointPath, Close then waits
+// for the in-flight batch to commit and writes that checkpoint. Last it
+// tears down the listener and every edge connection.
+//
+// Close fires Done but does NOT mark the deployment finished: edges are
+// never told Done, so an edge caught mid-reply sees its connection drop
+// and treats the root as partitioned, and a root shut down for
+// maintenance does not terminate the fleet's uplinks. Idempotent: a
+// second Close, or one after Fence, writes no checkpoint and returns nil.
 func (r *Root) Close() error {
 	r.mu.Lock()
 	r.closeDone()
 	alreadyClosed := r.closed
 	r.closed = true
-	lis := r.listener
-	open := make([]net.Conn, 0, len(r.conns))
-	for conn := range r.conns {
-		open = append(open, conn)
-	}
 	r.mu.Unlock()
 
 	if !alreadyClosed && r.cfg.CheckpointPath != "" {
@@ -370,53 +322,28 @@ func (r *Root) Close() error {
 		r.writeCheckpoint()
 		<-r.roundSlot
 	}
-
-	var err error
-	if !alreadyClosed && lis != nil {
-		err = lis.Close()
-	}
-	for _, conn := range open {
-		_ = conn.Close()
-	}
-	return err
+	return r.core.Close()
 }
 
-// recoverPanic isolates a panic in an edge handler to that connection.
-func (r *Root) recoverPanic(where string) {
-	if rec := recover(); rec != nil {
-		r.mu.Lock()
-		r.stats.HandlerPanics++
-		r.mu.Unlock()
-		log.Printf("topology: recovered %s panic: %v\n%s", where, rec, debug.Stack())
-	}
-}
-
-// trackConn registers a live connection for teardown on Close.
-func (r *Root) trackConn(conn net.Conn) bool {
+// notePanic counts a panic the core recovered in HandlerPanics.
+func (r *Root) notePanic() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return false
-	}
-	r.conns[conn] = struct{}{}
-	return true
-}
-
-func (r *Root) untrackConn(conn net.Conn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.conns, conn)
+	r.stats.HandlerPanics++
+	r.mu.Unlock()
 }
 
 // handle drives one edge connection: a Hello, then a strict request-reply
 // loop over batches and heartbeats.
+//
+// The core closes the connection on return and isolates a panic to it. A
+// closing root serves no new connection.
 func (r *Root) handle(conn net.Conn) {
-	defer r.recoverPanic("edge handler")
-	defer conn.Close()
-	if !r.trackConn(conn) {
+	r.mu.Lock()
+	closed := r.closed
+	r.mu.Unlock()
+	if closed {
 		return
 	}
-	defer r.untrackConn(conn)
 
 	// Acceptor side: the edge's first bytes negotiate gob or binary.
 	uc := transport.AcceptUpstreamConn(conn, r.cfg.MaxMessageBytes, r.cfg.ReadTimeout, r.cfg.WriteTimeout)
@@ -477,7 +404,9 @@ func (r *Root) handle(conn net.Conn) {
 			}
 			es = es2
 		case msg.Batch != nil:
-			reply = r.applyBatch(es, msg.Batch)
+			if reply = r.applyBatch(es, msg.Batch); reply == nil {
+				return // the root is closing: drop the connection unanswered
+			}
 		case msg.Heartbeat:
 			reply = r.heartbeat(es)
 		default:
@@ -612,12 +541,17 @@ func (r *Root) heartbeat(es *edgeState) *transport.RootMsg {
 // filter+aggregate round and advances the watermark (skipped ids are
 // accounted as lost). The whole decision runs while holding the round
 // slot so two connections replaying the same id cannot both observe the
-// pre-apply watermark.
+// pre-apply watermark. It returns nil, applying and acking nothing, once
+// Close or Fence has begun.
 func (r *Root) applyBatch(es *edgeState, b *transport.BatchMsg) *transport.RootMsg {
 	r.roundSlot <- struct{}{}
 	defer func() { <-r.roundSlot }()
 
 	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return nil
+	}
 	es.lastSeen = time.Now()
 	r.stats.UpdatesReceived += len(b.Updates)
 	if b.BatchID <= es.lastApplied {
@@ -756,30 +690,11 @@ func (r *Root) rebuildShardLocked() {
 	r.shard.Version++
 }
 
-// sweepEdges periodically declares silent edges dead: they leave the
-// shard map (clients re-home to the survivors) and their retained filter
-// snapshot is queued as a handoff to every surviving edge.
-func (r *Root) sweepEdges(stop <-chan struct{}) {
-	defer r.wg.Done()
-	interval := r.cfg.EdgeLeaseDuration / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-r.done:
-			return
-		case now := <-ticker.C:
-			r.evictExpiredEdges(now)
-		}
-	}
-}
-
-// evictExpiredEdges runs one sweep.
+// evictExpiredEdges is one tick of the edge-lease sweeper (every
+// EdgeLeaseDuration/4 while Serve runs, see NewRoot): it declares silent
+// edges dead, so they leave the shard map (clients re-home to the
+// survivors) and their retained filter snapshot is queued as a handoff to
+// every surviving edge.
 func (r *Root) evictExpiredEdges(now time.Time) {
 	var toClose []net.Conn
 	r.mu.Lock()

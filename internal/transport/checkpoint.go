@@ -200,8 +200,7 @@ func (s *Server) restoreFromCheckpoint(path string) error {
 	s.restored = true
 	if s.version >= s.cfg.Rounds {
 		// The checkpoint captured an already-completed deployment.
-		s.finished = true
-		close(s.done)
+		s.finishLocked()
 	}
 	return nil
 }

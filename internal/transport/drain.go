@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"net"
 	"time"
 )
 
@@ -51,13 +50,10 @@ func (s *Server) Drain(ctx context.Context) error {
 		// handlers and rounds stop, and let the background sequence write
 		// its checkpoint whenever the in-flight round lets go.
 		s.mu.Lock()
-		if !s.finished {
-			s.finished = true
-			close(s.done)
-		}
+		s.finishLocked()
 		s.mu.Unlock()
 	}
-	if cerr := s.closeNetwork(); err == nil {
+	if cerr := s.core.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -65,16 +61,10 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // nudgeConns expires the read deadline on every live connection, booting
 // blocked handler reads into their draining path. The deadlines are set
-// outside s.mu — SetReadDeadline never blocks, but the lock discipline
-// here is the same as for every other conn operation.
+// outside every lock — SetReadDeadline never blocks, but the lock
+// discipline here is the same as for every other conn operation.
 func (s *Server) nudgeConns() {
-	s.mu.Lock()
-	open := make([]net.Conn, 0, len(s.conns))
-	for conn := range s.conns {
-		open = append(open, conn)
-	}
-	s.mu.Unlock()
-	for _, conn := range open {
+	for _, conn := range s.core.liveConns() {
 		_ = conn.SetReadDeadline(time.Now())
 	}
 }
@@ -89,10 +79,7 @@ func (s *Server) awaitWinddown(ctx context.Context) {
 	ticker := time.NewTicker(5 * time.Millisecond)
 	defer ticker.Stop()
 	for {
-		s.mu.Lock()
-		open := len(s.conns)
-		s.mu.Unlock()
-		if open == 0 {
+		if len(s.core.liveConns()) == 0 {
 			return
 		}
 		select {
@@ -110,7 +97,7 @@ func (s *Server) awaitWinddown(ctx context.Context) {
 // s.mu held (each step takes the lock itself).
 func (s *Server) drainSequence() {
 	defer close(s.drained)
-	defer s.recoverPanic("drain")
+	defer s.core.guard("drain")
 
 	// Wait for the in-flight round to commit; the draining flag already
 	// stops new updates, and the watchdog stands down for a draining
@@ -127,10 +114,7 @@ func (s *Server) drainSequence() {
 	s.maybeAggregate(forceDrain)
 
 	s.mu.Lock()
-	if !s.finished {
-		s.finished = true
-		close(s.done)
-	}
+	s.finishLocked()
 	var snap *serverSnapshot
 	if s.cfg.CheckpointPath != "" {
 		snap = s.captureSnapshotLocked()

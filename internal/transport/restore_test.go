@@ -30,9 +30,9 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// handle carries the recover guard itself: a panic while decoding one
-	// connection must neither escape nor wedge the server.
-	server.handle(panicConn{})
+	// The core runs every handler behind its recover guard: a panic while
+	// decoding one connection must neither escape nor wedge the server.
+	server.core.serveConn(panicConn{})
 	stats := server.Stats()
 	if stats.HandlerPanics != 1 {
 		t.Errorf("HandlerPanics = %d, want 1", stats.HandlerPanics)

@@ -55,26 +55,6 @@ func (c *clientSession) refill(now time.Time, rate, burst float64) {
 	c.lastRefill = now
 }
 
-// trackConn registers a live connection for shutdown teardown. It reports
-// false when the server is already finished, in which case the caller
-// should drop the connection immediately.
-func (s *Server) trackConn(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.finished {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-// untrackConn forgets a connection that finished handling.
-func (s *Server) untrackConn(conn net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.conns, conn)
-}
-
 // register resolves a Hello to the client's session, creating it on first
 // contact. On reconnect the previous connection (if any) is closed so the
 // superseded handler exits, and the sample count is refreshed only from a
@@ -117,34 +97,15 @@ func (s *Server) release(sess *clientSession, conn net.Conn) {
 	}
 }
 
-// watchLeases is the lease sweeper: a dead client — one that stopped
-// sending updates and heartbeats without a TCP reset — is evicted within
-// roughly a lease period, freeing its connection and in-flight
-// accounting, instead of lingering until a blocking read happens to time
-// out. Started once from Serve when LeaseDuration > 0; exits when the
-// deployment completes, the server closes, or Serve exits (stop).
-func (s *Server) watchLeases(stop <-chan struct{}) {
-	defer s.wg.Done()
-	ticker := time.NewTicker(clampTick(s.cfg.LeaseDuration / 4))
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-stop:
-			return
-		case <-ticker.C:
-			s.evictExpiredLeases(time.Now())
-		}
-	}
-}
-
-// evictExpiredLeases closes the connections of sessions whose lease
-// expired. The connection close is performed outside s.mu; the handler
-// owning the connection observes the close as a read error and exits
-// through its usual teardown (release, untrackConn).
+// evictExpiredLeases is one tick of the lease sweeper: a dead client —
+// one that stopped sending updates and heartbeats without a TCP reset — is
+// evicted within roughly a lease period, freeing its connection and
+// in-flight accounting, instead of lingering until a blocking read happens
+// to time out. The core ticks it every LeaseDuration/4 while Serve runs
+// (see NewServer). The connection close is performed outside s.mu; the
+// handler owning the connection observes the close as a read error and
+// exits through its usual teardown.
 func (s *Server) evictExpiredLeases(now time.Time) {
-	defer s.recoverPanic("lease sweep")
 	s.mu.Lock()
 	var victims []net.Conn
 	for _, sess := range s.sessions {

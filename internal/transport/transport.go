@@ -37,9 +37,7 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -345,10 +343,8 @@ type Server struct {
 	finished     bool
 	restored     bool
 	draining     bool
-	netClosed    bool
 	stats        ServerStats
 	sessions     map[int]*clientSession
-	conns        map[net.Conn]struct{}
 	lastProgress time.Time
 	// shardAddrs / shardVersion hold the latest SetShardAddrs push;
 	// handlers piggyback the list on task replies when their last-sent
@@ -372,12 +368,11 @@ type Server struct {
 	// round.
 	aggDone *sync.Cond
 
-	done         chan struct{}
-	listener     net.Listener
-	wg           sync.WaitGroup
-	watchdog     sync.Once
-	leaseSweeper sync.Once
-	drainOnce    sync.Once
+	// core owns the listener, the live connections, the accept loop, the
+	// watchdog and lease-sweeper tickers, and the network teardown.
+	core      *Acceptor
+	done      chan struct{}
+	drainOnce sync.Once
 	// drained is closed when a Drain sequence has finished its flush and
 	// final checkpoint (possibly after the Drain call itself timed out).
 	drained chan struct{}
@@ -485,11 +480,17 @@ func NewServer(cfg ServerConfig, filter fl.Filter, combiner fl.Combiner) (*Serve
 		global:   vecmath.Clone(cfg.InitialParams),
 		buffer:   buffer,
 		sessions: make(map[int]*clientSession),
-		conns:    make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
 		drained:  make(chan struct{}),
 	}
 	s.aggDone = sync.NewCond(&s.mu)
+	s.core = NewAcceptor(s.done, s.handle, s.notePanic)
+	if cfg.RoundTimeout > 0 {
+		s.core.Every(cfg.RoundTimeout/4, "watchdog", func(time.Time) { s.tickWatchdog() })
+	}
+	if cfg.LeaseDuration > 0 {
+		s.core.Every(cfg.LeaseDuration/4, "lease sweep", s.evictExpiredLeases)
+	}
 	if cfg.CheckpointPath != "" {
 		if err := s.restoreFromCheckpoint(cfg.CheckpointPath); err != nil {
 			return nil, err
@@ -506,50 +507,13 @@ func NewServer(cfg ServerConfig, filter fl.Filter, combiner fl.Combiner) (*Serve
 
 // Serve accepts client connections on lis until the configured number of
 // rounds completes or Close is called. It returns after the accept loop
-// exits and all client handlers have drained.
+// exits and all client handlers have drained; a Serve after Close returns
+// at once.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
-	s.listener = lis
 	s.lastProgress = time.Now()
 	s.mu.Unlock()
-	// stop ends the watchdog when Serve exits for any reason, including
-	// accept errors that happen before the deployment completes.
-	stop := make(chan struct{})
-	if s.cfg.RoundTimeout > 0 {
-		s.watchdog.Do(func() {
-			s.wg.Add(1)
-			go s.watchRounds(stop)
-		})
-	}
-
-	if s.cfg.LeaseDuration > 0 {
-		s.leaseSweeper.Do(func() {
-			s.wg.Add(1)
-			go s.watchLeases(stop)
-		})
-	}
-
-	var serveErr error
-	for serveErr == nil {
-		conn, err := lis.Accept()
-		if err != nil {
-			// Closed listener means shutdown (normal path).
-			select {
-			case <-s.done:
-			default:
-				serveErr = fmt.Errorf("transport: accept: %w", err)
-			}
-			break
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-	close(stop)
-	s.wg.Wait()
-	return serveErr
+	return s.core.Serve(lis)
 }
 
 // ListenAndServe listens on addr and calls Serve.
@@ -562,14 +526,7 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Addr returns the listener address (empty before Serve).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return ""
-	}
-	return s.listener.Addr().String()
-}
+func (s *Server) Addr() string { return s.core.Addr() }
 
 // Done is closed when the configured rounds have completed.
 func (s *Server) Done() <-chan struct{} { return s.done }
@@ -582,11 +539,17 @@ func (s *Server) Done() <-chan struct{} { return s.done }
 // deployment done.
 func (s *Server) Finish() {
 	s.mu.Lock()
+	s.finishLocked()
+	s.mu.Unlock()
+}
+
+// finishLocked marks the deployment finished and closes Done, once.
+// Callers hold s.mu.
+func (s *Server) finishLocked() {
 	if !s.finished {
 		s.finished = true
 		close(s.done)
 	}
-	s.mu.Unlock()
 }
 
 // Close stops accepting connections, disconnects all clients and unblocks
@@ -596,10 +559,7 @@ func (s *Server) Finish() {
 // finished first guarantees no new round starts while Close waits.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if !s.finished {
-		s.finished = true
-		close(s.done)
-	}
+	s.finishLocked()
 	for s.aggregating {
 		s.aggDone.Wait()
 	}
@@ -614,34 +574,7 @@ func (s *Server) Close() error {
 	if snap != nil {
 		s.writeSnapshot(snap)
 	}
-	return s.closeNetwork()
-}
-
-// closeNetwork tears down the listener and every live connection exactly
-// once; later calls are no-ops returning nil, so Close after Drain does
-// not report a spuriously double-closed listener.
-func (s *Server) closeNetwork() error {
-	s.mu.Lock()
-	if s.netClosed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.netClosed = true
-	lis := s.listener
-	open := make([]net.Conn, 0, len(s.conns))
-	for conn := range s.conns {
-		open = append(open, conn)
-	}
-	s.mu.Unlock()
-
-	var err error
-	if lis != nil {
-		err = lis.Close()
-	}
-	for _, conn := range open {
-		_ = conn.Close()
-	}
-	return err
+	return s.core.Close()
 }
 
 // FinalParams returns a copy of the current global parameters.
@@ -669,30 +602,24 @@ func (s *Server) Restored() bool {
 	return s.restored
 }
 
-// recoverPanic absorbs a panic in a server goroutine, logging the stack
-// and counting it in HandlerPanics. A malformed or adversarial message
-// that panics one connection handler must take down that connection only,
-// never the deployment. Callers must not hold s.mu when the deferred call
-// runs.
-func (s *Server) recoverPanic(where string) {
-	if r := recover(); r != nil {
-		s.mu.Lock()
-		s.stats.HandlerPanics++
-		s.mu.Unlock()
-		log.Printf("transport: recovered %s panic: %v\n%s", where, r, debug.Stack())
-	}
+// notePanic counts a panic the core recovered in HandlerPanics.
+func (s *Server) notePanic() {
+	s.mu.Lock()
+	s.stats.HandlerPanics++
+	s.mu.Unlock()
 }
 
-// handle drives one client connection. The recover guard isolates panics
-// (a crafted payload that panics the decoder, or a misbehaving filter
-// reached through receiveUpdate) to this connection.
+// handle drives one client connection. The core closes it on return and
+// isolates a panic (a crafted payload that panics the decoder, or a
+// misbehaving filter reached through receiveUpdate) to it. A finished
+// deployment admits no new connection.
 func (s *Server) handle(conn net.Conn) {
-	defer s.recoverPanic("handler")
-	defer conn.Close()
-	if !s.trackConn(conn) {
+	s.mu.Lock()
+	finished := s.finished
+	s.mu.Unlock()
+	if finished {
 		return
 	}
-	defer s.untrackConn(conn)
 
 	// The first byte of the stream picks the codec (see sniffWire): the
 	// binary preamble's 0x00 or a gob varint. Both reads run under the
@@ -1011,9 +938,8 @@ func (s *Server) maybeAggregate(force forceMode) {
 		s.stats.DroppedStale += rd.DroppedStale
 		s.noteFilterOutcomesLocked(rd.Accepted, rd.Rejected)
 		s.lastProgress = time.Now()
-		if s.version >= s.cfg.Rounds && !s.finished {
-			s.finished = true
-			close(s.done)
+		if s.version >= s.cfg.Rounds {
+			s.finishLocked()
 		}
 		var snap *serverSnapshot
 		if s.shouldCheckpointLocked() {

@@ -2,55 +2,22 @@ package transport
 
 import "time"
 
-// minTick floors the polling interval of the background sweepers (round
-// watchdog, lease sweeper). Deriving the interval from a tiny configured
-// timeout must not produce a busy ticker: a 1 ms RoundTimeout would
-// otherwise poll the server lock a thousand times a second for no gain in
-// detection latency worth having.
-const minTick = 10 * time.Millisecond
-
-// clampTick returns d floored at minTick.
-func clampTick(d time.Duration) time.Duration {
-	if d < minTick {
-		return minTick
-	}
-	return d
-}
-
-// watchRounds is the round-progress watchdog: when the buffer has held at
-// least one update but stayed below the aggregation goal for RoundTimeout,
-// it aggregates the partial buffer (FedBuff-with-timeout). Crashed or
-// wedged clients therefore delay a round by at most RoundTimeout instead
-// of stalling the deployment forever. Started once from Serve; exits when
-// the deployment completes, the server closes, or Serve exits (stop).
+// tickWatchdog is one tick of the round-progress watchdog: when the
+// buffer has held at least one update but stayed below the aggregation
+// goal for RoundTimeout, it aggregates the partial buffer
+// (FedBuff-with-timeout). Crashed or wedged clients therefore delay a
+// round by at most RoundTimeout instead of stalling the deployment
+// forever.
 //
-// Contract: RoundTimeout == 0 disables the watchdog entirely (Serve never
-// starts this goroutine). A positive RoundTimeout polls at a quarter of
-// the timeout, floored at minTick, so a tiny timeout cannot degenerate
-// into a busy loop.
-func (s *Server) watchRounds(stop <-chan struct{}) {
-	defer s.wg.Done()
-	ticker := time.NewTicker(clampTick(s.cfg.RoundTimeout / 4))
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-stop:
-			return
-		case <-ticker.C:
-			s.tickWatchdog()
-		}
-	}
-}
-
-// tickWatchdog runs one watchdog check. The per-tick recover guard keeps
-// a panic out of a forced partial aggregation (e.g. from a misbehaving
-// combiner) from killing the watchdog goroutine — and with it the
-// deployment's only defense against stalled rounds. A draining server is
-// left alone: the drain sequence owns the final flush.
+// Contract: RoundTimeout == 0 disables the watchdog entirely (NewServer
+// registers no ticker). A positive RoundTimeout ticks at a quarter of the
+// timeout, floored at minTick, so a tiny timeout cannot degenerate into a
+// busy loop. The core's per-tick panic guard keeps a panic out of a forced
+// partial aggregation (e.g. from a misbehaving combiner) from killing the
+// watchdog — and with it the deployment's only defense against stalled
+// rounds. A draining server is left alone: the drain sequence owns the
+// final flush.
 func (s *Server) tickWatchdog() {
-	defer s.recoverPanic("watchdog")
 	s.mu.Lock()
 	stalled := !s.finished && !s.draining && !s.aggregating &&
 		s.buffer.Len() > 0 && !s.buffer.Ready() &&
