@@ -131,8 +131,8 @@ func (c *checker) armKind(call *ast.CallExpr) (kind, name string) {
 	}
 	tv, ok := c.pass.TypesInfo.Types[sel.X]
 	if !ok || !analysis.ImplementsOrPtr(tv.Type, c.connIface) {
-		// Listener deadlines (net.Listener, the replica's deadliner
-		// interface) do not arm conn I/O.
+		// Listener deadlines (a *net.TCPListener's SetDeadline) do not
+		// arm conn I/O.
 		return "", ""
 	}
 	switch sel.Sel.Name {

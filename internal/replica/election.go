@@ -29,7 +29,7 @@ import (
 //
 // Liveness is best-effort, as in any quorum system: a minority partition
 // (including either half of a symmetric 1-1 split of a two-node group)
-// stays in RoleCandidate forever and never binds the edge listener —
+// stays in RoleCandidate forever and its held root never serves an edge —
 // /healthz shows role "candidate" with a stale epoch, which is the
 // operator's cue (see the README split-brain runbook).
 

@@ -400,11 +400,11 @@ func TestSymmetricSplitRefusesToServe(t *testing.T) {
 		t.Errorf("minority half fenced epoch %d without quorum", got)
 	}
 
-	// The edge listener is still the refusal loop: a dial is accepted and
-	// immediately cut, never served.
+	// The root is still held: a dial is accepted and dropped unanswered,
+	// never served.
 	conn, err := net.DialTimeout("tcp", sAddr, 2*time.Second)
 	if err != nil {
-		t.Fatalf("dial refused-but-bound edge listener: %v", err)
+		t.Fatalf("dial the held root's edge listener: %v", err)
 	}
 	defer conn.Close()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))

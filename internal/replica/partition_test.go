@@ -42,8 +42,8 @@ func (c *gatedConn) Write(p []byte) (int, error) {
 // TestSymmetricPartitionDrill is the quorum acceptance drill: a
 // three-node group under gradient-deviation attackers and flaky edge
 // links is partitioned 1/2. The minority node runs candidacies through
-// fault-injected links that can never reach quorum and must never bind
-// its edge listener, while the majority side keeps serving. After the
+// fault-injected links that can never reach quorum and must never serve
+// an edge, while the majority side keeps serving. After the
 // partition heals and the primary is killed, exactly one survivor wins
 // the election, the deployment converges on it, and the commit-ring
 // audit proves no batch was double-counted across the whole sequence.

@@ -9,8 +9,9 @@ import (
 )
 
 // This file is the primary side of the replication channel: the commit
-// tap that fans records out to subscribers, the standby accept loop, and
-// the per-standby push/ack handler.
+// tap that fans records out to subscribers and the per-connection handler
+// the node's replication Acceptor runs (vote exchanges, and push/ack
+// sessions with attached standbys).
 
 // onCommit receives one record per batch the root applies. It is called
 // while the root holds the round slot, so records arrive in strict
@@ -37,29 +38,12 @@ func (n *Node) onCommit(rec *transport.ReplRecord) {
 	}
 }
 
-// acceptStandbys runs the replication accept loop until the listener
-// closes (node Close, or Fence tearing the node down).
-func (n *Node) acceptStandbys() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.replLis.Accept()
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer conn.Close()
-			n.handleStandby(conn)
-		}()
-	}
-}
-
 // handleStandby drives one inbound replication connection. A VoteRequest
 // makes it a one-shot vote exchange; a Hello attaches a standby:
 // validate it, decide between ring catch-up and a full snapshot, then
 // push records (and heartbeats while idle) until the connection breaks
-// or the node stops.
+// or the node stops, when it writes a Goodbye. The replication core
+// closes the connection on return and isolates a panic to it.
 func (n *Node) handleStandby(conn net.Conn) {
 	// Acceptor side: the attaching standby's (or vote candidate's) first
 	// bytes negotiate gob or binary.
@@ -125,7 +109,9 @@ func (n *Node) handleStandby(conn net.Conn) {
 	}
 	n.subs[sub] = struct{}{}
 	n.stats.StandbyAttaches++
+	n.sessions.Add(1) // under n.mu with closed false, so never after Close's Wait began
 	n.mu.Unlock()
+	defer n.sessions.Done()
 	defer n.dropSub(sub)
 
 	// sent is the highest seq this standby holds; channel records at or

@@ -25,8 +25,8 @@
 // each voter persisting its grant (internal/checkpoint.VoteRecord)
 // before the reply leaves the wire. Quorum intersection then guarantees
 // at most one winner per epoch even across voter crashes, and a
-// minority partition parks in RoleCandidate without ever binding the
-// edge listener.
+// minority partition parks in RoleCandidate without ever serving an
+// edge.
 package replica
 
 import (
@@ -49,7 +49,8 @@ type Role int
 const (
 	// RolePrimary serves edges and streams records to standbys.
 	RolePrimary Role = iota
-	// RoleStandby mirrors the primary and refuses edge connections.
+	// RoleStandby mirrors the primary; its held root drops edge
+	// connections unanswered.
 	RoleStandby
 	// RolePromoting is the transient state between lease expiry and the
 	// promoted epoch being persisted.
@@ -256,6 +257,9 @@ type Stats struct {
 	// persists (epoch, candidate) before the reply leaves the wire.
 	VotesGranted int `metric:"afl_replica_votes_total"`
 	VotesRefused int `metric:"afl_replica_votes_refused_total"`
+	// HandlerPanics counts panics recovered in replication connection
+	// handlers; the panicking connection is dropped, the node serves on.
+	HandlerPanics int `metric:"afl_replica_handler_panics_total"`
 }
 
 // subscriber is one attached standby on the primary side. The record
@@ -299,17 +303,23 @@ type Node struct {
 	// for killing a candidate mid-promotion.
 	promotingHook func()
 
-	replLis  net.Listener
+	replLis net.Listener
+	// repl serves replLis (nil without one): one handleStandby per
+	// connection, done when stop closes. sessions counts the attached
+	// standby sessions, which Close lets write their Goodbye before it
+	// closes repl.
+	repl     *transport.Acceptor
+	sessions sync.WaitGroup
 	promoted chan struct{}
-	refusal  chan struct{} // closed when the standby refusal loop releases the edge listener
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
 // NewNode builds a replication node around a root. The root must not be
-// serving yet: NewNode installs the commit tap and, for a standby, the
-// root stays unserved until promotion. With a ReplListen address the
+// serving yet: NewNode installs the commit tap and the peer list and, for
+// a standby, holds the root (Root.HoldUntilPromoted) so it serves no edge
+// until its promoted epoch is durable. With a ReplListen address the
 // replication listener is bound immediately so ReplAddr is usable before
 // Serve.
 func NewNode(cfg Config, root *topology.Root) (*Node, error) {
@@ -367,9 +377,17 @@ func NewNode(cfg Config, root *topology.Root) (*Node, error) {
 		}
 		n.replLis = lis
 	}
+	if n.replLis != nil {
+		n.repl = transport.NewAcceptor(n.stop, n.handleStandby, n.notePanic)
+	}
 	root.SetOnCommit(n.onCommit)
-	if n.role == RolePrimary && len(cfg.Peers) > 0 {
+	// Peers are in no checkpoint or record, so a standby's copy survives
+	// snapshot installs and is relayed from its first reply as primary.
+	if len(cfg.Peers) > 0 {
 		root.SetPeers(cfg.Peers)
+	}
+	if n.role == RoleStandby {
+		root.HoldUntilPromoted()
 	}
 	n.noteRole(n.role)
 	n.noteEpoch()
@@ -420,58 +438,34 @@ func (n *Node) Health() obsv.Health {
 	return h
 }
 
-// Serve runs the node until Close (or, for a primary, until the root's
-// deployment completes). edgeLis is the edge-facing listener: a primary
-// hands it straight to Root.Serve; a standby holds it — refusing every
-// connection immediately so edges rotate to the real primary — and
-// serves on it after promotion.
+// Serve runs the node until Close (or until its root is fenced). edgeLis
+// is the edge-facing listener, served by the root on every role: a
+// standby's root is held and drops each edge unanswered, so edges rotate
+// to the live primary, until promotion releases it. The replication
+// listener answers from the start too: a primary accepts standbys, and
+// any group member must answer vote exchanges for elections to make
+// quorum. A Serve after Close closes edgeLis and returns at once.
 func (n *Node) Serve(edgeLis net.Listener) error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return edgeLis.Close()
 	}
-	role := n.role
-	n.mu.Unlock()
-
-	// The replication listener answers from the start on every role: a
-	// primary accepts standbys, and any group member — standby included —
-	// must answer vote exchanges for elections to make quorum.
-	if n.replLis != nil {
+	// Started under n.mu, so Close's wg.Wait never races the Add.
+	if n.repl != nil {
 		n.wg.Add(1)
-		go n.acceptStandbys()
+		go func() {
+			defer n.wg.Done()
+			_ = n.repl.Serve(n.replLis) // a failed replication listener leaves the edges served
+		}()
 	}
-
-	if role == RolePrimary {
-		return n.servePrimary(edgeLis)
+	if n.role == RoleStandby {
+		n.wg.Add(2)
+		go n.standbyLoop()
+		go n.watchdog()
 	}
-
-	n.wg.Add(2)
-	go n.standbyLoop()
-	go n.watchdog()
-	refusal := make(chan struct{})
-	n.mu.Lock()
-	n.refusal = refusal
 	n.mu.Unlock()
-	go func() {
-		defer close(refusal)
-		n.refuseUntilPromoted(edgeLis)
-	}()
 
-	select {
-	case <-n.stop:
-		<-refusal
-		n.wg.Wait()
-		return nil
-	case <-n.promoted:
-		<-refusal
-		return n.servePrimary(edgeLis)
-	}
-}
-
-// servePrimary serves edges (the replication accept loop is already
-// running — Serve starts it for every role).
-func (n *Node) servePrimary(edgeLis net.Listener) error {
 	err := n.root.Serve(edgeLis)
 	if n.root.Fenced() {
 		n.noteFenced()
@@ -479,17 +473,21 @@ func (n *Node) servePrimary(edgeLis net.Listener) error {
 	return err
 }
 
-// Close stops the node: the replication listener, any standby session,
-// the wrapped root, and every helper goroutine.
+// Close stops the node. Each attached standby session writes its Goodbye
+// first; then the replication listener and its connections, any standby
+// session of this node's own, the wrapped root, and every helper
+// goroutine stop.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	n.closed = true
-	replLis := n.replLis
 	conn := n.standbyConn
 	n.mu.Unlock()
 	n.stopOnce.Do(func() { close(n.stop) })
-	if replLis != nil {
-		_ = replLis.Close()
+	n.sessions.Wait()
+	if n.repl != nil {
+		// The core closes the listener only once Serve has handed it over.
+		_ = n.replLis.Close()
+		_ = n.repl.Close()
 	}
 	if conn != nil {
 		_ = conn.Close()
@@ -499,8 +497,11 @@ func (n *Node) Close() error {
 	return err
 }
 
-// noteFenced flips the node into RoleFenced (idempotent) and tears down
-// replication so a demoted primary stops streaming stale records.
+// noteFenced flips the node into RoleFenced (idempotent): its root stops
+// serving edges and stop ends every standby session and helper loop, so a
+// demoted primary streams no stale record. The replication listener stays
+// up until Close, so a fenced node keeps answering votes; decideVote
+// refuses any epoch its root has already seen.
 func (n *Node) noteFenced() {
 	n.root.Fence()
 	n.mu.Lock()
@@ -511,6 +512,13 @@ func (n *Node) noteFenced() {
 		n.noteRole(RoleFenced)
 	}
 	n.stopOnce.Do(func() { close(n.stop) })
+}
+
+// notePanic counts a panic the replication core recovered.
+func (n *Node) notePanic() {
+	n.mu.Lock()
+	n.stats.HandlerPanics++
+	n.mu.Unlock()
 }
 
 // dial opens one replication connection.

@@ -223,10 +223,10 @@ func (n *Node) watchdog() {
 }
 
 // promote runs the lease-only promotion sequence of a non-quorum group:
-// cut the upstream session, bump and persist the fencing epoch, publish
-// the peer list, and flip to primary so Serve hands the edge listener to
-// the root. Quorum groups reach the same tail through runElection. It
-// reports whether the node now serves.
+// cut the upstream session, bump and persist the fencing epoch (which
+// releases the held root to serve edges), and flip to primary. Quorum
+// groups reach the same tail through runElection. It reports whether the
+// node now serves.
 func (n *Node) promote() bool {
 	lost, ok := n.beginPromoting()
 	if !ok {
@@ -295,26 +295,11 @@ func (n *Node) standDown() {
 }
 
 // completePromotion finishes a promotion whose epoch is already
-// persisted: publish the peer list, release the edge listener, and flip
-// to primary.
+// persisted: stop the standby loops and flip to primary. PromoteEpoch has
+// already released the root, so an edge that dials after observing
+// RolePrimary is served, never dropped.
 func (n *Node) completePromotion(lost uint64) {
-	if len(n.cfg.Peers) > 0 {
-		n.root.SetPeers(n.cfg.Peers)
-	}
-
-	// Release the edge listener before publishing the new role: the
-	// refusal loop may hold one last accepted connection, and an edge that
-	// dials after observing RolePrimary must never be reset by it. (The
-	// root is already promoted — epoch persisted, peers set — so Serve can
-	// start accepting edges in parallel.)
 	close(n.promoted)
-	n.mu.Lock()
-	refusal := n.refusal
-	n.mu.Unlock()
-	if refusal != nil {
-		<-refusal
-	}
-
 	n.mu.Lock()
 	n.role = RolePrimary
 	n.lastSeq = uint64(n.root.Version())
@@ -324,43 +309,4 @@ func (n *Node) completePromotion(lost uint64) {
 	n.mu.Unlock()
 	n.noteRole(RolePrimary)
 	n.noteEpoch()
-}
-
-// deadliner is the listener deadline control refuseUntilPromoted needs
-// (satisfied by *net.TCPListener).
-type deadliner interface {
-	SetDeadline(time.Time) error
-}
-
-// refuseUntilPromoted holds the edge listener while standby, accepting
-// and immediately closing every connection so edges get a fast
-// connection-reset — and rotate to the next peer — instead of hanging in
-// a read timeout against an unbound address.
-func (n *Node) refuseUntilPromoted(lis net.Listener) {
-	d, ok := lis.(deadliner)
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-n.promoted:
-			if ok {
-				_ = d.SetDeadline(time.Time{})
-			}
-			return
-		default:
-		}
-		if ok {
-			_ = d.SetDeadline(time.Now().Add(50 * time.Millisecond))
-		}
-		conn, err := lis.Accept()
-		if err == nil {
-			_ = conn.Close()
-			continue
-		}
-		var nerr net.Error
-		if errors.As(err, &nerr) && nerr.Timeout() {
-			continue
-		}
-		return
-	}
 }

@@ -17,7 +17,7 @@ import (
 //     transport.ReplRecord and SnapshotBlob captures the full durable
 //     state for a standby attaching too far behind the log.
 //   - On a standby, InstallSnapshot and ApplyRecord mirror the primary's
-//     commits into a root that is not serving edges yet.
+//     commits into a root that HoldUntilPromoted keeps from serving edges.
 //   - Fencing: every edge request carries an epoch (EdgeMsg.Epoch); a
 //     root that sees an epoch above its own answers NackFenced and
 //     Fence()s itself — a resurrected old primary demotes instead of
@@ -54,14 +54,26 @@ func (r *Root) Epoch() uint64 {
 	return r.epoch.Load()
 }
 
+// HoldUntilPromoted keeps the root from serving edges until PromoteEpoch
+// succeeds: each connection is dropped unanswered, as a closed or fenced
+// root drops it, so a re-homing edge reads EOF and rotates to its next
+// peer. A standby calls it before Serve; the root may then serve its edge
+// listener from the start.
+func (r *Root) HoldUntilPromoted() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.held = true
+}
+
 // PromoteEpoch raises the root's fencing epoch — a standby's promotion
 // step. The new epoch is persisted in the checkpoint (when configured)
 // BEFORE the method returns, so a promoted root that crashes cannot come
 // back believing in its pre-promotion epoch. Epochs only move forward:
 // an epoch not above the current one is refused with ErrEpochNotAbove.
 // Any other error means the persist failed. The epoch is then raised in
-// memory only, so it is never handed out twice, and the caller must not
-// serve under it.
+// memory only, so it is never handed out twice, and the root stays held.
+// On success the hold is released: no edge is served before the
+// promoted epoch is durable.
 func (r *Root) PromoteEpoch(epoch uint64) error {
 	r.roundSlot <- struct{}{}
 	defer func() { <-r.roundSlot }()
@@ -72,12 +84,14 @@ func (r *Root) PromoteEpoch(epoch uint64) error {
 		return fmt.Errorf("%w: PromoteEpoch(%d) at %d", ErrEpochNotAbove, epoch, cur)
 	}
 	r.mu.Unlock()
-	if r.cfg.CheckpointPath == "" {
-		return nil
+	if r.cfg.CheckpointPath != "" {
+		if err := r.writeCheckpoint(); err != nil {
+			return fmt.Errorf("topology: PromoteEpoch(%d): persist: %w", epoch, err)
+		}
 	}
-	if err := r.writeCheckpoint(); err != nil {
-		return fmt.Errorf("topology: PromoteEpoch(%d): persist: %w", epoch, err)
-	}
+	r.mu.Lock()
+	r.held = false
+	r.mu.Unlock()
 	return nil
 }
 

@@ -179,6 +179,55 @@ func TestPromoteEpochPersistFailure(t *testing.T) {
 	}
 }
 
+// TestHeldRootServesOnlyAfterPromotion: a held root drops every edge
+// unanswered while serving its listener. A PromoteEpoch whose persist
+// fails leaves it held; the first one that persists releases it, and the
+// next edge is served under the promoted epoch.
+func TestHeldRootServesOnlyAfterPromotion(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	root, err := NewRoot(RootConfig{
+		InitialParams:  make([]float64, rootTestDim),
+		Rounds:         4,
+		CheckpointPath: filepath.Join(dir, "root.ckpt"),
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.HoldUntilPromoted()
+	addr := serveRoot(t, root)
+	dropped := func(when string) {
+		t.Helper()
+		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		if err != nil {
+			t.Fatalf("%s: dial: %v", when, err)
+		}
+		defer conn.Close()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err == nil || n > 0 {
+			t.Errorf("%s: held root sent %d bytes (err %v), want the connection dropped", when, n, err)
+		}
+	}
+
+	dropped("before promotion")
+	if err := root.PromoteEpoch(1); err == nil {
+		t.Fatal("PromoteEpoch persisted into a missing checkpoint directory")
+	}
+	dropped("after a failed persist")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.PromoteEpoch(2); err != nil {
+		t.Fatal(err)
+	}
+	reply := dialRootT(t, addr).hello(1, 1)
+	if reply.Nack != 0 || reply.Task == nil || reply.Epoch != 2 {
+		t.Errorf("edge after promotion: nack %v, task %v, epoch %d; want served at epoch 2", reply.Nack, reply.Task != nil, reply.Epoch)
+	}
+	if st := root.Stats(); st.EdgesConnected != 1 {
+		t.Errorf("EdgesConnected = %d, want 1 (held connections admit no edge)", st.EdgesConnected)
+	}
+}
+
 // TestEdgeEpochOnlyRaises: an edge keeps the highest epoch any root
 // reply carried; a reply from an older generation moves neither Epoch
 // nor the afl_edge_root_epoch gauge.

@@ -154,8 +154,11 @@ type Root struct {
 	finished bool
 	restored bool
 	// closed is set when Close or Fence begins; from then on no batch is
-	// applied and no new edge connection is served.
+	// applied and no new edge connection is served. held is set on a
+	// standby (HoldUntilPromoted) and cleared by PromoteEpoch; while it is
+	// set no edge connection is served either.
 	closed bool
+	held   bool
 	fenced bool
 	// epoch is the fencing epoch this root serves under; peers is the
 	// static root peer list relayed to edges (internal/replica). Both are
@@ -336,12 +339,13 @@ func (r *Root) notePanic() {
 // loop over batches and heartbeats.
 //
 // The core closes the connection on return and isolates a panic to it. A
-// closing root serves no new connection.
+// closing or held root serves no new connection: the edge reads EOF and
+// rotates to its next peer.
 func (r *Root) handle(conn net.Conn) {
 	r.mu.Lock()
-	closed := r.closed
+	refuse := r.closed || r.held
 	r.mu.Unlock()
-	if closed {
+	if refuse {
 		return
 	}
 

@@ -364,9 +364,11 @@ func (r *RootServer) closeInner() error {
 	return r.inner.Close()
 }
 
-// Serve accepts edge connections until the configured rounds complete or
-// Close is called. A replicated standby holds lis — refusing edges so
-// they rotate to the live primary — and serves on it after promotion.
+// Serve accepts edge connections until Close is called; once the
+// configured rounds complete (Done) it tells each edge so. A replicated
+// standby serves lis from the start but drops each edge unanswered, so
+// edges rotate to the live primary, until its promoted epoch is durable.
+// lis may be any net.Listener, with or without deadline support.
 func (r *RootServer) Serve(lis net.Listener) error {
 	if r.node != nil {
 		return r.node.Serve(lis)
