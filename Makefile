@@ -1,11 +1,11 @@
 # Tier-1 verify: build + tests (the floor every change must hold).
-# Tier-1+ verify: `make check` adds go vet, the afllint invariant
-# analyzers, and the race detector, which the transport fault-injection
-# tests rely on to catch shutdown and reconnect races.
+# Tier-1+ verify: `make check` adds the gofmt gate, go vet, the afllint
+# invariant analyzers, and the race detector, which the transport
+# fault-injection tests rely on to catch shutdown and reconnect races.
 
 GO ?= go
 
-.PHONY: build test check vet lint race bench-check bench-driver bench bench-hot cover fuzz-smoke
+.PHONY: build test check fmt vet lint race bench-check bench-driver bench bench-hot cover fuzz-smoke
 
 # Coverage floor enforced by `make cover` and the CI coverage job.
 # Measured at the observability PR; raise when coverage rises, never
@@ -20,6 +20,11 @@ build:
 # passing by accident.
 test: build
 	$(GO) test -shuffle=on ./...
+
+# fmt fails when gofmt would change any Go file in the tree (analyzer
+# fixtures under testdata included), and lists the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -58,16 +63,21 @@ bench-check:
 	$(GO) test ./bench/...
 	$(GO) run ./bench/aflperf -smoke
 
-check: build vet lint race bench-check
+check: build fmt vet lint race bench-check
 
 # bench-driver runs the benchmark exactly as the benchmark driver does —
 # BENCHMARK.json's command, one 24 s timed run of each workload it lists,
 # seed 1 — which bench-check's 4 s -smoke run is not. A workload fails on
 # a non-zero exit or a result line without "correct":true and "failed":0,
 # and its failed checks are printed; every workload runs either way.
-# Each run's log is kept as bench/out/driver_<workload>.log. About three
-# minutes on two cores, plus one build of the standard library into
-# .bench_build/ on a fresh checkout.
+# Each exit line carries the run's proc.host_steal_share and
+# loadgen.void_window_share: a "paced phase void" failure is the load
+# generator missing its own schedule, which a host stealing CPU causes,
+# while any other failed check is a fault in the program. The target also
+# fails when an aflperf process outlives the runs. Each run's log is kept
+# as bench/out/driver_<workload>.log. About three minutes on two cores,
+# plus one build of the standard library into .bench_build/ on a fresh
+# checkout.
 BENCH_WORKLOADS = $(shell awk '/"workloads"/ {on = 1} on && /"name"/ {gsub(/[",]/, "", $$2); print $$2} on && /^  \]/ {on = 0}' BENCHMARK.json)
 bench-driver:
 	@if [ -z "$(BENCH_WORKLOADS)" ]; then echo "bench-driver: no workloads found in BENCHMARK.json"; exit 1; fi; \
@@ -76,13 +86,19 @@ bench-driver:
 		log=bench/out/driver_$$w.log; \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 24 --trace 0 > $$log 2>&1; rc=$$?; \
 		line=$$(tail -n 1 $$log); \
-		echo "$$w: exit $$rc: $$line"; \
+		steal=$$(awk '$$1 == "proc.host_steal_share" {print $$2; exit}' $$log); \
+		void=$$(awk '$$1 == "loadgen.void_window_share" {print $$2; exit}' $$log); \
+		echo "$$w: exit $$rc (host steal $${steal:-?}, void windows $${void:-?}): $$line"; \
 		case "$$line" in *'"correct":true'*'"failed":0,'*) ok=1 ;; *) ok=0 ;; esac; \
 		if [ $$rc -ne 0 ] || [ $$ok -ne 1 ]; then \
 			failed=1; \
 			grep -h 'FAILED CHECK\|aflperf:' $$log || tail -n 20 $$log; \
 		fi; \
 	done; \
+	if pgrep -x aflperf >/dev/null; then \
+		failed=1; \
+		echo "bench-driver: aflperf processes outlived the runs:"; pgrep -a -x aflperf; \
+	fi; \
 	if [ $$failed -ne 0 ]; then echo "bench-driver: FAILED (logs in bench/out/)"; exit 1; fi; \
 	echo "bench-driver: all workloads correct with no failed operations"
 
@@ -102,7 +118,8 @@ bench:
 # binary update decode, BenchmarkHotUpdateDecode/*, is in at 0 allocs/op
 # and the mean combine, BenchmarkHotCombine/*, at its 2 — the round delta
 # and the weights — with both rows' ns/op taken before the blocked
-# kernels), then
+# kernels; the replicated root's per-record filter state,
+# BenchmarkHotReplFilterState, is measured but not in the baseline), then
 # captures an overload-experiment throughput snapshot (the served hot
 # path: ingest, filter, shed counters). CI uploads the snapshots as
 # BENCH_10.

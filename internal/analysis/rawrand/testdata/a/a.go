@@ -11,9 +11,9 @@ import (
 
 // global source draws are process-global nondeterminism.
 func globalDraws() int {
-	rand.Seed(42)             // want `use of math/rand.Seed`
-	x := rand.Intn(10)        // want `use of math/rand.Intn`
-	y := rand.Float64()       // want `use of math/rand.Float64`
+	rand.Seed(42)       // want `use of math/rand.Seed`
+	x := rand.Intn(10)  // want `use of math/rand.Intn`
+	y := rand.Float64() // want `use of math/rand.Float64`
 	_ = y
 	return x
 }

@@ -97,10 +97,37 @@ func Diff(prev, cur FilterState) (FilterState, error) {
 
 var _ fl.StateDiffer = (*AsyncFilter)(nil)
 
-// DiffState implements fl.StateDiffer: it returns the gob-encoded Diff
-// between a previous SnapshotState payload and the filter's current
-// state. The caller must hold the filter quiescent (DiffState snapshots,
-// which reseeds the RNG exactly as Snapshot does).
+// DiffSince implements fl.StateDiffer. The base it hands back is the
+// FilterState it snapshotted, held in memory: the next call diffs
+// against it directly, so a record encodes only what it ships and
+// nothing is decoded. A non-FilterState base (nil on a stream's first
+// record) and the EWMA estimator, which has no exact delta, yield the
+// full state.
+//
+// Each diffed record reseeds the RNG twice, and a full fallback carries
+// the second seed. That is the stream a replicated root has always
+// consumed, and k-means draws from it: one reseed fewer would move every
+// later verdict of the root, and the verdict hashes pinned for it.
+func (f *AsyncFilter) DiffSince(base any) ([]byte, bool, any, error) {
+	prev, ok := base.(FilterState)
+	if !ok || f.cfg.Estimator == EstimatorEWMA {
+		cur := f.Snapshot()
+		data, err := encodeState(cur)
+		return data, true, cur, err
+	}
+	delta, cur, err := f.diffEncode(prev)
+	cur.RNGSeed = f.reseed()
+	if err == nil {
+		return delta, false, cur, nil
+	}
+	data, err := encodeState(cur)
+	return data, true, cur, err
+}
+
+// DiffState returns the gob-encoded Diff between a previous SnapshotState
+// payload and the filter's current state. The caller must hold the
+// filter quiescent (DiffState snapshots, which reseeds the RNG exactly as
+// Snapshot does).
 func (f *AsyncFilter) DiffState(prev []byte) ([]byte, error) {
 	if f.cfg.Estimator == EstimatorEWMA {
 		return nil, fmt.Errorf("core: DiffState: no exact delta for the %s estimator", EstimatorEWMA)
@@ -109,13 +136,18 @@ func (f *AsyncFilter) DiffState(prev []byte) ([]byte, error) {
 	if err := gob.NewDecoder(bytes.NewReader(prev)).Decode(&prevState); err != nil {
 		return nil, fmt.Errorf("core: DiffState: decode prev: %w", err)
 	}
-	delta, err := Diff(prevState, f.Snapshot())
+	delta, _, err := f.diffEncode(prevState)
+	return delta, err
+}
+
+// diffEncode snapshots the filter and returns the gob-encoded Diff from
+// prev to that snapshot, and the snapshot itself.
+func (f *AsyncFilter) diffEncode(prev FilterState) ([]byte, FilterState, error) {
+	cur := f.Snapshot()
+	delta, err := Diff(prev, cur)
 	if err != nil {
-		return nil, err
+		return nil, cur, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(delta); err != nil {
-		return nil, fmt.Errorf("core: DiffState: %w", err)
-	}
-	return buf.Bytes(), nil
+	data, err := encodeState(delta)
+	return data, cur, err
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/asyncfl/asyncfilter/internal/fl"
@@ -158,8 +160,8 @@ func TestDiffRefusals(t *testing.T) {
 	}
 }
 
-// TestDiffStateRoundTrip exercises the fl.StateDiffer byte path the
-// replicated root ships: MergeState(DiffState(prev)) applied to a filter
+// TestDiffStateRoundTrip exercises the delta bytes the replicated root
+// ships: MergeState(DiffState(prev)) applied to a filter
 // restored from prev reproduces the live filter's detection state, and
 // two standbys that replay the identical delta stream are byte-identical
 // to each other — the comparability guarantee the failover audit uses.
@@ -179,8 +181,7 @@ func TestDiffStateRoundTrip(t *testing.T) {
 	}
 	cur := f.Snapshot()
 
-	var differ fl.StateDiffer = f
-	delta, err := differ.DiffState(prev)
+	delta, err := f.DiffState(prev)
 	if err != nil {
 		t.Fatalf("DiffState: %v", err)
 	}
@@ -231,7 +232,7 @@ func TestDiffStateRoundTrip(t *testing.T) {
 		t.Error("two standbys replaying the same delta stream are not byte-identical")
 	}
 
-	if _, err := differ.DiffState([]byte("not a snapshot")); err == nil {
+	if _, err := f.DiffState([]byte("not a snapshot")); err == nil {
 		t.Error("DiffState accepted garbage prev")
 	}
 }
@@ -252,5 +253,140 @@ func TestDiffStateRefusesEWMA(t *testing.T) {
 	}
 	if _, err := f.DiffState(prev); err == nil {
 		t.Fatal("DiffState produced a delta for the EWMA estimator")
+	}
+}
+
+// hostileRound builds one seeded arrival batch at dimension dim: honest
+// updates around a per-group center in a few staleness groups, plus
+// gradient-reversal attackers 9000..9003 who keep their IDs every round,
+// so credits they earn when rejected are spent when they return.
+func hostileRound(rng *rand.Rand, dim int) []*fl.Update {
+	var updates []*fl.Update
+	for _, k := range rng.Perm(8)[:3+rng.Intn(4)] {
+		for j := 0; j < 2+rng.Intn(4); j++ {
+			delta := randx.NormalVector(rng, dim, 0.1*float64(k), 0.2)
+			updates = append(updates, &fl.Update{ClientID: 100*k + j, Staleness: k, Delta: delta, NumSamples: 10})
+		}
+	}
+	for j := 0; j < 1+rng.Intn(4); j++ {
+		delta := randx.NormalVector(rng, dim, -4, 0.05)
+		updates = append(updates, &fl.Update{ClientID: 9000 + j, Staleness: rng.Intn(3), Delta: delta, NumSamples: 10})
+	}
+	return updates
+}
+
+// TestDiffSinceMatchesSnapshotBytes pins the in-memory diff base to the
+// bytes-based call pair it replaced: one filter answers each round with
+// DiffState against the previous SnapshotState payload (falling back to
+// a full SnapshotState) and then re-snapshots to keep the next base; a
+// twin filter answers with DiffSince. Every round's payload and full
+// flag must be byte-identical, and so must the twins' verdicts and score
+// bits, which shows the RNG reseeds line up in every branch, the full
+// fallbacks for spent amnesty included.
+func TestDiffSinceMatchesSnapshotBytes(t *testing.T) {
+	const dim, rounds = 64, 200
+	old, _ := New(DefaultConfig())
+	cur, _ := New(DefaultConfig())
+	var prevBytes []byte
+	oldState := func() ([]byte, bool) {
+		if prevBytes != nil {
+			if delta, err := old.DiffState(prevBytes); err == nil {
+				next, err := old.SnapshotState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				prevBytes = next
+				return delta, false
+			}
+		}
+		next, err := old.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prevBytes = next
+		return next, true
+	}
+
+	rng := randx.New(56)
+	var base any
+	fallbacks := 0
+	for round := 1; round <= rounds; round++ {
+		batch := hostileRound(rng, dim)
+		twin := make([]*fl.Update, len(batch))
+		for i, u := range batch {
+			c := *u
+			c.Delta = vecmath.Clone(u.Delta)
+			twin[i] = &c
+		}
+		resOld, err := old.Filter(batch, round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resCur, err := cur.Filter(twin, round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range resOld.Decisions {
+			if resOld.Decisions[i] != resCur.Decisions[i] {
+				t.Fatalf("round %d update %d: verdict %v, want %v", round, i, resCur.Decisions[i], resOld.Decisions[i])
+			}
+		}
+		scoresOld, scoresCur := old.LastScores(), cur.LastScores()
+		if len(scoresOld) != len(scoresCur) {
+			t.Fatalf("round %d: %d scores, want %d", round, len(scoresCur), len(scoresOld))
+		}
+		for i := range scoresOld {
+			if math.Float64bits(scoresOld[i]) != math.Float64bits(scoresCur[i]) {
+				t.Fatalf("round %d update %d: score %v, want %v", round, i, scoresCur[i], scoresOld[i])
+			}
+		}
+
+		wantState, wantFull := oldState()
+		state, full, next, err := cur.DiffSince(base)
+		if err != nil {
+			t.Fatalf("round %d: DiffSince: %v", round, err)
+		}
+		base = next
+		if full != wantFull || !bytes.Equal(state, wantState) {
+			t.Fatalf("round %d: payload (full=%v, %d bytes), want (full=%v, %d bytes)",
+				round, full, len(state), wantFull, len(wantState))
+		}
+		if full && round > 1 {
+			fallbacks++
+		}
+	}
+	if fallbacks == 0 {
+		t.Error("no round fell back to a full payload: the schedule never spent an amnesty credit")
+	}
+	t.Logf("%d rounds, %d full fallbacks after the first", rounds, fallbacks)
+}
+
+// TestDiffSinceEWMAShipsFull: the EWMA estimator has no exact delta, so
+// every record carries the full state, with or without a base.
+func TestDiffSinceEWMAShipsFull(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Estimator = EstimatorEWMA
+	cfg.EWMAAlpha = 0.5
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base any
+	for round := 1; round <= 3; round++ {
+		if _, err := f.Filter(smallBatch(randx.New(int64(round)), 4, 4, []int{0, 1}, 0), round); err != nil {
+			t.Fatal(err)
+		}
+		state, full, next, err := f.DiffSince(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !full {
+			t.Fatalf("round %d: EWMA record shipped a delta", round)
+		}
+		probe, _ := New(cfg)
+		if err := probe.RestoreState(state); err != nil {
+			t.Fatalf("round %d: full payload does not restore: %v", round, err)
+		}
+		base = next
 	}
 }

@@ -53,13 +53,10 @@ type AmnestyCredit struct {
 // Snapshot on the original and Restore-then-Snapshot on a copy produce
 // byte-identical states.
 func (f *AsyncFilter) Snapshot() FilterState {
-	seed := f.rng.Int63()
-	f.rng = randx.New(seed)
-
 	st := FilterState{
 		Dim:     f.dim,
 		Rounds:  f.rounds,
-		RNGSeed: seed,
+		RNGSeed: f.reseed(),
 		Groups:  make([]GroupState, 0, len(f.groups)),
 		Amnesty: make([]AmnestyCredit, 0, len(f.amnesty)),
 	}
@@ -76,6 +73,14 @@ func (f *AsyncFilter) Snapshot() FilterState {
 	}
 	sort.Slice(st.Amnesty, func(i, j int) bool { return st.Amnesty[i].ClientID < st.Amnesty[j].ClientID })
 	return st
+}
+
+// reseed draws a fresh seed from the filter's RNG, restarts the RNG from
+// it and returns it.
+func (f *AsyncFilter) reseed() int64 {
+	seed := f.rng.Int63()
+	f.rng = randx.New(seed)
+	return seed
 }
 
 // Restore replaces the filter's detection state with a snapshot taken
@@ -152,9 +157,15 @@ var (
 
 // SnapshotState implements fl.StateSnapshotter by gob-encoding Snapshot.
 func (f *AsyncFilter) SnapshotState() ([]byte, error) {
+	return encodeState(f.Snapshot())
+}
+
+// encodeState gob-encodes a full state or a Diff delta: the payload
+// SnapshotState, DiffState and DiffSince return.
+func encodeState(st FilterState) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f.Snapshot()); err != nil {
-		return nil, fmt.Errorf("core: SnapshotState: %w", err)
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		return nil, fmt.Errorf("core: encode filter state: %w", err)
 	}
 	return buf.Bytes(), nil
 }

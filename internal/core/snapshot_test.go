@@ -168,13 +168,15 @@ func TestRestoreRejectsDamagedState(t *testing.T) {
 	good := f.Snapshot()
 
 	cases := map[string]func(st *FilterState){
-		"negative dim":       func(st *FilterState) { st.Dim = -1 },
-		"negative rounds":    func(st *FilterState) { st.Rounds = -1 },
-		"mean dim mismatch":  func(st *FilterState) { st.Groups[0].Mean = []float64{1} },
-		"negative count":     func(st *FilterState) { st.Groups[0].Count = -2 },
-		"duplicate group":    func(st *FilterState) { st.Groups = append(st.Groups, st.Groups[0]) },
-		"negative amnesty":   func(st *FilterState) { st.Amnesty = []AmnestyCredit{{ClientID: 1, Credits: -1}} },
-		"duplicate amnesty":  func(st *FilterState) { st.Amnesty = []AmnestyCredit{{ClientID: 1, Credits: 1}, {ClientID: 1, Credits: 2}} },
+		"negative dim":      func(st *FilterState) { st.Dim = -1 },
+		"negative rounds":   func(st *FilterState) { st.Rounds = -1 },
+		"mean dim mismatch": func(st *FilterState) { st.Groups[0].Mean = []float64{1} },
+		"negative count":    func(st *FilterState) { st.Groups[0].Count = -2 },
+		"duplicate group":   func(st *FilterState) { st.Groups = append(st.Groups, st.Groups[0]) },
+		"negative amnesty":  func(st *FilterState) { st.Amnesty = []AmnestyCredit{{ClientID: 1, Credits: -1}} },
+		"duplicate amnesty": func(st *FilterState) {
+			st.Amnesty = []AmnestyCredit{{ClientID: 1, Credits: 1}, {ClientID: 1, Credits: 2}}
+		},
 	}
 	for name, damage := range cases {
 		g, err := New(DefaultConfig())

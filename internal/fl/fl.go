@@ -216,6 +216,10 @@ func Aggregate(global []float64, updates []*Update, cfg AggregatorConfig) ([]flo
 // Implementations must treat updates as read-only and must not retain the
 // slice past the call. Decisions are returned positionally: len(Decisions)
 // == len(updates).
+//
+// On the serving path every delta a filter sees is finite and has the
+// model's dimension: the client server's admission (transport) and the
+// root's batch apply (topology) drop any other as malformed.
 type Filter interface {
 	// Filter classifies each update for the given server round.
 	Filter(updates []*Update, round int) (FilterResult, error)
@@ -257,15 +261,22 @@ type StateMerger interface {
 }
 
 // StateDiffer is implemented by filters that can express the change
-// between a previously-snapshotted state and their current state as a
-// mergeable delta: MergeState(DiffState(prev)) applied to a filter
-// holding prev reproduces the current state. The replicated root uses it
-// to ship one small incremental per committed batch instead of a full
-// snapshot. DiffState returns an error when no exact delta exists (the
-// caller falls back to a full snapshot); data is the same opaque payload
-// a StateSnapshotter produces.
+// since an earlier state of their own as a mergeable delta: a filter
+// holding that earlier state which MergeStates the delta reproduces the
+// current one. The replicated root uses it to ship one small incremental
+// per committed batch instead of a full snapshot.
+//
+// DiffSince returns the filter-state payload of the next replication
+// record and next, the base the following call diffs against. A base is
+// an opaque in-memory value that only the filter which returned it
+// reads; the caller keeps the latest one and passes nil when it has none
+// (the first record of a stream, or after an error). When there is no
+// base or no exact delta against it, the payload is the full state, as a
+// StateSnapshotter produces it for RestoreState, and full is true;
+// otherwise it is a delta for MergeState. The caller must hold the
+// filter quiescent.
 type StateDiffer interface {
-	DiffState(prev []byte) ([]byte, error)
+	DiffSince(base any) (state []byte, full bool, next any, err error)
 }
 
 // Decision is a filter's verdict for one update.

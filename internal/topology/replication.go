@@ -272,31 +272,21 @@ func (r *Root) ApplyRecord(rec *transport.ReplRecord) error {
 }
 
 // filterReplState returns the filter-state payload for the next
-// replication record: an incremental delta against the previous record's
-// snapshot when the filter supports exact diffs, a full snapshot
-// otherwise (first record of a stream, diff impossible, or the filter
-// only snapshots). The caller holds the round slot.
+// replication record: a delta against the previous record's state, or
+// the full state on a stream's first record and wherever no exact delta
+// exists (see fl.StateDiffer). A filter that cannot diff ships no state.
+// The caller holds the round slot.
 func (r *Root) filterReplState() ([]byte, bool) {
-	sf, ok := r.engine.Filter().(fl.StateSnapshotter)
+	differ, ok := r.engine.Filter().(fl.StateDiffer)
 	if !ok {
 		return nil, false
 	}
-	if differ, ok := r.engine.Filter().(fl.StateDiffer); ok && r.replPrevFilter != nil {
-		delta, err := differ.DiffState(r.replPrevFilter)
-		if err == nil {
-			cur, err := sf.SnapshotState()
-			if err == nil {
-				r.replPrevFilter = cur
-				return delta, false
-			}
-		}
-	}
-	cur, err := sf.SnapshotState()
+	state, full, base, err := differ.DiffSince(r.replBase)
 	if err != nil {
-		log.Printf("topology: replication filter snapshot failed: %v", err)
-		r.replPrevFilter = nil
+		log.Printf("topology: replication filter state failed: %v", err)
+		r.replBase = nil
 		return nil, false
 	}
-	r.replPrevFilter = cur
-	return cur, true
+	r.replBase = base
+	return state, full
 }

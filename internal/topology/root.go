@@ -97,7 +97,7 @@ type RootStats struct {
 	UpdatesReceived, Accepted, Deferred, Rejected int
 	// DroppedStale counts deferred updates discarded for exceeding the
 	// staleness limit; DroppedMalformed counts updates whose delta did not
-	// match the global model dimension.
+	// match the global model dimension or held a NaN or Inf.
 	DroppedStale, DroppedMalformed int
 	// EdgesConnected counts distinct edge ids that completed a Hello;
 	// EdgeReconnects counts Hellos from already-known edges.
@@ -190,11 +190,11 @@ type Root struct {
 
 	// onCommit, when set (before Serve), receives one replication log
 	// record per applied batch, called while the round slot is held so
-	// records are emitted in strict version order. replPrevFilter is the
-	// filter snapshot the next record's delta is diffed against; it is
-	// only touched under the round slot.
-	onCommit       func(*transport.ReplRecord)
-	replPrevFilter []byte
+	// records are emitted in strict version order. replBase is the
+	// filter's opaque state the next record's delta is diffed against
+	// (see fl.StateDiffer); it is only touched under the round slot.
+	onCommit func(*transport.ReplRecord)
+	replBase any
 
 	done     chan struct{}
 	doneOnce sync.Once
@@ -593,7 +593,7 @@ func (r *Root) applyBatch(es *edgeState, b *transport.BatchMsg) *transport.RootM
 	batch := r.deferred.Drain()
 	dim := len(r.global)
 	for _, u := range b.Updates {
-		if u == nil || len(u.Delta) != dim {
+		if u == nil || len(u.Delta) != dim || !vecmath.AllFinite(u.Delta) {
 			r.stats.DroppedMalformed++
 			continue
 		}

@@ -1,12 +1,14 @@
 package topology
 
 import (
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"github.com/asyncfl/asyncfilter/internal/fl"
 	"github.com/asyncfl/asyncfilter/internal/transport"
+	"github.com/asyncfl/asyncfilter/internal/vecmath"
 )
 
 const rootTestDim = 4
@@ -219,6 +221,21 @@ func TestRootGapsAndBadHellos(t *testing.T) {
 	if stats := root.Stats(); stats.DroppedMalformed != 1 {
 		t.Errorf("DroppedMalformed = %d, want 1", stats.DroppedMalformed)
 	}
+
+	// So is an update holding a NaN or an Inf, and the model stays finite.
+	for i, bad := range []float64{math.NaN(), math.Inf(-1)} {
+		poisoned := testUpdate(10+i, 0.1)
+		poisoned.Delta[1] = bad
+		reply = edge2.roundTrip(&transport.EdgeMsg{Batch: &transport.BatchMsg{
+			BatchID: uint64(2 + i), Updates: []*fl.Update{poisoned, testUpdate(1, 0.1)},
+		}})
+		if reply.Nack != 0 || reply.Task == nil || !vecmath.AllFinite(reply.Task.Params) {
+			t.Fatalf("batch with a %v delta: reply = %+v, want applied with a finite model", bad, reply)
+		}
+	}
+	if stats := root.Stats(); stats.DroppedMalformed != 3 {
+		t.Errorf("DroppedMalformed = %d, want 3", stats.DroppedMalformed)
+	}
 }
 
 // TestRootShardMapGrowsWithEdges verifies that a second edge's admission
@@ -357,6 +374,12 @@ func TestRootOrphanedHandoffAdopted(t *testing.T) {
 	}
 	if string(inner) != "lonely-averages" {
 		t.Errorf("adopted handoff = %q, want the dead edge's state", inner)
+	}
+	// The root counts a delivery once its write returns, which can be
+	// after the edge has read the reply.
+	deadline = time.Now().Add(5 * time.Second)
+	for root.Stats().HandoffsDelivered == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	stats := root.Stats()
 	if stats.HandoffsOrphaned != 1 || stats.HandoffsQueued != 1 || stats.HandoffsDelivered != 1 {

@@ -46,18 +46,20 @@ func (s *Server) quarantineCooldown() time.Duration {
 
 // receiveUpdate runs admission control on one update and buffers it on
 // success, then aggregates (outside the lock) when the goal is hit. The
-// admission pipeline, in order: drain gate, dimension check, quarantine
-// circuit breaker, per-client rate limit, staleness limit, and the
-// bounded in-flight budget with staleness-aware shedding. All decisions
-// happen under s.mu; replies are the caller's job, outside the lock.
+// admission pipeline, in order: drain gate, dimension and finiteness
+// check, quarantine circuit breaker, per-client rate limit, staleness
+// limit, and the bounded in-flight budget with staleness-aware shedding.
+// All decisions happen under s.mu; replies are the caller's job, outside
+// the lock.
 //
 // Ownership of delta transfers to the server: an admitted update carries
 // it into the buffer (and the arena recycles it when the round that
 // drains it commits), a refused one is recycled here. Callers must not
-// touch delta after this call.
+// touch delta after this call. finite is the wire's screen of delta (see
+// clientFrame): a NaN or Inf is dropped like a dimension mismatch.
 //
 //afl:owned
-func (s *Server) receiveUpdate(sess *clientSession, baseVersion int, delta []float64) admissionVerdict {
+func (s *Server) receiveUpdate(sess *clientSession, baseVersion int, delta []float64, finite bool) admissionVerdict {
 	now := time.Now()
 	s.mu.Lock()
 	if s.draining {
@@ -71,7 +73,7 @@ func (s *Server) receiveUpdate(sess *clientSession, baseVersion int, delta []flo
 		return admissionVerdict{}
 	}
 	s.stats.UpdatesReceived++
-	if len(delta) != len(s.global) {
+	if len(delta) != len(s.global) || !finite {
 		s.stats.DroppedMalformed++
 		s.mu.Unlock()
 		s.arena.PutVec(delta)

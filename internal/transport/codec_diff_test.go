@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"math/rand"
@@ -422,6 +423,39 @@ func bitPatternSlab() []float64 {
 		slab[i] = math.Float64frombits(bits)
 	}
 	return slab
+}
+
+// TestF64sIntoFiniteScreen: the slab decoder reports a NaN or an Inf at
+// any position, in the four-wide body and in the tail, and passes every
+// finite pattern (signed zero, subnormal, MaxFloat64), still copying each
+// value bit-exactly.
+func TestF64sIntoFiniteScreen(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		for pos := 0; pos < n; pos++ {
+			for _, bits := range slabBitPatterns {
+				want := make([]float64, n)
+				for i := range want {
+					want[i] = float64(i) - 3.5
+				}
+				want[pos] = math.Float64frombits(bits)
+				payload := make([]byte, 8*n)
+				for i, x := range want {
+					binary.LittleEndian.PutUint64(payload[8*i:], math.Float64bits(x))
+				}
+				cur := binCursor{b: payload}
+				got := make([]float64, n)
+				finite := cur.f64sInto(got)
+				if wantFinite := !math.IsNaN(want[pos]) && !math.IsInf(want[pos], 0); finite != wantFinite {
+					t.Fatalf("n=%d, %016x at %d: finite = %v, want %v", n, bits, pos, finite, wantFinite)
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d, %016x at %d: slab[%d] = %016x", n, bits, pos, i, math.Float64bits(got[i]))
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestBinarySlabBitPatterns proves raw float64 slabs survive bit-exactly

@@ -368,12 +368,12 @@ func TestDeferredStalenessRecomputedAtDrain(t *testing.T) {
 	other := &clientSession{id: 1, numSamples: 5}
 
 	// Round 1: the victim's update (base 0) arrives alongside a fresh one.
-	server.receiveUpdate(victim, 0, []float64{1, 1})
-	server.receiveUpdate(other, 0, []float64{1, 1})
+	server.receiveUpdate(victim, 0, []float64{1, 1}, true)
+	server.receiveUpdate(other, 0, []float64{1, 1}, true)
 	// Rounds 2 and 3: only fresh updates from the other client; the
 	// victim's deferred update rides along in the buffer.
-	server.receiveUpdate(other, 1, []float64{1, 1})
-	server.receiveUpdate(other, 2, []float64{1, 1})
+	server.receiveUpdate(other, 1, []float64{1, 1}, true)
+	server.receiveUpdate(other, 2, []float64{1, 1}, true)
 
 	if server.Version() != 3 {
 		t.Fatalf("version = %d, want 3", server.Version())

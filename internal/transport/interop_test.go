@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"net"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/asyncfl/asyncfilter/internal/core"
 	"github.com/asyncfl/asyncfilter/internal/randx"
+	"github.com/asyncfl/asyncfilter/internal/vecmath"
 )
 
 // This file proves codec coexistence end to end: a fleet where some
@@ -101,8 +103,10 @@ func scriptDelta(i, step, dim int) []float64 {
 
 // runScriptedDeployment drives one server with one scripted client per
 // codec in lockstep until the deployment completes, returning the final
-// global parameters and the filter's serialized detection state.
-func runScriptedDeployment(t *testing.T, codecs []Codec, rounds int) ([]float64, []byte) {
+// global parameters, the filter's serialized detection state and the
+// server's counters. poison, when set, may rewrite client i's delta at
+// each step before it is sent.
+func runScriptedDeployment(t *testing.T, codecs []Codec, rounds int, poison func(i, step int, delta []float64)) ([]float64, []byte, ServerStats) {
 	t.Helper()
 	af, err := core.New(core.DefaultConfig())
 	if err != nil {
@@ -151,10 +155,11 @@ func runScriptedDeployment(t *testing.T, codecs []Codec, rounds int) ([]float64,
 			if done {
 				break
 			}
-			c.send(t, &ClientMsg{Update: &UpdateMsg{
-				BaseVersion: version[i],
-				Delta:       scriptDelta(i, step, len(initial)),
-			}})
+			delta := scriptDelta(i, step, len(initial))
+			if poison != nil {
+				poison(i, step, delta)
+			}
+			c.send(t, &ClientMsg{Update: &UpdateMsg{BaseVersion: version[i], Delta: delta}})
 			reply := c.recv(t)
 			switch {
 			case reply.Done:
@@ -180,7 +185,7 @@ func runScriptedDeployment(t *testing.T, codecs []Codec, rounds int) ([]float64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return server.FinalParams(), state
+	return server.FinalParams(), state, server.Stats()
 }
 
 // TestMixedCodecFleetMatchesAllGob runs the same scripted deployment —
@@ -191,8 +196,8 @@ func TestMixedCodecFleetMatchesAllGob(t *testing.T) {
 	mixed := []Codec{CodecGob, CodecBinary, CodecGob, CodecBinary}
 	control := []Codec{CodecGob, CodecGob, CodecGob, CodecGob}
 
-	mixedParams, mixedState := runScriptedDeployment(t, mixed, rounds)
-	controlParams, controlState := runScriptedDeployment(t, control, rounds)
+	mixedParams, mixedState, _ := runScriptedDeployment(t, mixed, rounds, nil)
+	controlParams, controlState, _ := runScriptedDeployment(t, control, rounds, nil)
 
 	if !reflect.DeepEqual(mixedParams, controlParams) {
 		t.Errorf("final params diverge between mixed-codec and all-gob fleets:\n mixed:   %v\n control: %v",
@@ -201,5 +206,31 @@ func TestMixedCodecFleetMatchesAllGob(t *testing.T) {
 	if !bytes.Equal(mixedState, controlState) {
 		t.Errorf("filter state diverges between mixed-codec and all-gob fleets (%d vs %d bytes)",
 			len(mixedState), len(controlState))
+	}
+}
+
+// TestNonFiniteDeltaDropped: a delta holding a NaN or an Inf is dropped
+// at admission like a dimension mismatch (counted in DroppedMalformed,
+// never buffered, answered with the plain task) over either codec, so
+// one client cannot poison the global model.
+func TestNonFiniteDeltaDropped(t *testing.T) {
+	for _, codec := range []Codec{CodecGob, CodecBinary} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			codecs := make([]Codec, 8)
+			for i := range codecs {
+				codecs[i] = codec
+			}
+			params, _, stats := runScriptedDeployment(t, codecs, 4, func(i, step int, delta []float64) {
+				if i == 5 && step == 1 {
+					delta[3] = bad
+				}
+			})
+			if !vecmath.AllFinite(params) {
+				t.Errorf("%s codec, %v at coordinate 3: final params[3] = %v", codec, bad, params[3])
+			}
+			if stats.DroppedMalformed != 1 {
+				t.Errorf("%s codec, %v at coordinate 3: DroppedMalformed = %d, want 1", codec, bad, stats.DroppedMalformed)
+			}
+		}
 	}
 }

@@ -96,10 +96,10 @@ func TestReceiveUpdateRateLimitNack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := &clientSession{id: 1, numSamples: 5}
-	if v := server.receiveUpdate(sess, 0, []float64{1, 1}); v.nack != 0 || v.goodbye {
+	if v := server.receiveUpdate(sess, 0, []float64{1, 1}, true); v.nack != 0 || v.goodbye {
 		t.Fatalf("first update refused: %+v", v)
 	}
-	v := server.receiveUpdate(sess, 0, []float64{1, 1})
+	v := server.receiveUpdate(sess, 0, []float64{1, 1}, true)
 	if v.nack != NackRateLimited {
 		t.Fatalf("second update verdict = %+v, want NackRateLimited", v)
 	}
@@ -119,7 +119,7 @@ func TestReceiveUpdateRateLimitNack(t *testing.T) {
 	server.mu.Lock()
 	sess.lastRefill = sess.lastRefill.Add(-4 * time.Second)
 	server.mu.Unlock()
-	if v := server.receiveUpdate(sess, 0, []float64{1, 1}); v.nack != 0 {
+	if v := server.receiveUpdate(sess, 0, []float64{1, 1}, true); v.nack != 0 {
 		t.Fatalf("refilled bucket still refused: %+v", v)
 	}
 }
@@ -148,7 +148,7 @@ func TestReceiveUpdateShedsStalestFirst(t *testing.T) {
 	}
 	sess := func(id int) *clientSession { return &clientSession{id: id, numSamples: 1} }
 	submit := func(id, base int) admissionVerdict {
-		return server.receiveUpdate(sess(id), base, []float64{1, 1})
+		return server.receiveUpdate(sess(id), base, []float64{1, 1}, true)
 	}
 
 	// The first update reaches the goal and starts a round; the gate
@@ -212,7 +212,7 @@ func TestQuarantineCircuitBreaker(t *testing.T) {
 	bad := server.register(&Hello{ClientID: 7, NumSamples: 5}, nil)
 	good := server.register(&Hello{ClientID: 8, NumSamples: 5}, nil)
 	submit := func(sess *clientSession) admissionVerdict {
-		return server.receiveUpdate(sess, server.Version(), []float64{1, 1})
+		return server.receiveUpdate(sess, server.Version(), []float64{1, 1}, true)
 	}
 	expireQuarantine := func(sess *clientSession) {
 		server.mu.Lock()

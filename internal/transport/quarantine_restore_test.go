@@ -31,7 +31,7 @@ func TestRestoreKeepsQuarantineAndLeases(t *testing.T) {
 		return server
 	}
 	submit := func(s *Server, sess *clientSession) admissionVerdict {
-		return s.receiveUpdate(sess, s.Version(), []float64{1, 1})
+		return s.receiveUpdate(sess, s.Version(), []float64{1, 1}, true)
 	}
 
 	server := mk(7)

@@ -42,7 +42,7 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	}
 	// The server still works after the panic.
 	sess := &clientSession{id: 1, numSamples: 5}
-	server.receiveUpdate(sess, 0, []float64{1, 1})
+	server.receiveUpdate(sess, 0, []float64{1, 1}, true)
 	if server.Version() != 1 {
 		t.Error("server wedged after a recovered handler panic")
 	}
@@ -64,8 +64,8 @@ func TestFilterPanicFallsBackToAcceptAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := &clientSession{id: 1, numSamples: 5}
-	server.receiveUpdate(sess, 0, []float64{1, 1})
-	server.receiveUpdate(sess, 1, []float64{1, 1})
+	server.receiveUpdate(sess, 0, []float64{1, 1}, true)
+	server.receiveUpdate(sess, 1, []float64{1, 1}, true)
 	stats := server.Stats()
 	if server.Version() != 2 {
 		t.Errorf("version = %d, want 2 (panicking filter must not lose rounds)", server.Version())
@@ -104,7 +104,7 @@ func TestWatchdogSurvivesAggregationPanic(t *testing.T) {
 	go func() { serveErr <- server.Serve(lis) }()
 
 	sess := &clientSession{id: 1, numSamples: 5}
-	server.receiveUpdate(sess, 0, []float64{1, 1})
+	server.receiveUpdate(sess, 0, []float64{1, 1}, true)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for server.Stats().HandlerPanics == 0 && time.Now().Before(deadline) {
@@ -119,7 +119,7 @@ func TestWatchdogSurvivesAggregationPanic(t *testing.T) {
 	}
 	// The server is still standing: it accepts another update without
 	// wedging, even though the panicked round's batch was lost.
-	server.receiveUpdate(sess, 0, []float64{1, 1})
+	server.receiveUpdate(sess, 0, []float64{1, 1}, true)
 	if err := server.Close(); err != nil {
 		t.Logf("close: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestNewServerRejectsForeignFilterCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := &clientSession{id: 1, numSamples: 5}
-	server.receiveUpdate(sess, 0, []float64{1, 1})
+	server.receiveUpdate(sess, 0, []float64{1, 1}, true)
 
 	af, err := core.New(core.DefaultConfig())
 	if err != nil {
@@ -183,8 +183,8 @@ func TestCheckpointRestoreRoundTripWithoutClients(t *testing.T) {
 	}
 	sess := &clientSession{id: 7, numSamples: 11}
 	server.sessions[7] = sess
-	server.receiveUpdate(sess, 0, []float64{1, 2, 3})
-	server.receiveUpdate(sess, 1, []float64{1, 2, 3})
+	server.receiveUpdate(sess, 0, []float64{1, 2, 3}, true)
+	server.receiveUpdate(sess, 1, []float64{1, 2, 3}, true)
 	if err := server.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestCheckpointRestoreRoundTripWithoutClients(t *testing.T) {
 	// Finish the deployment and restore once more: a checkpoint of a
 	// completed deployment restores as completed.
 	for v := restoredServer.Version(); v < cfg.Rounds; v++ {
-		restoredServer.receiveUpdate(restoredServer.sessions[7], v, []float64{1, 2, 3})
+		restoredServer.receiveUpdate(restoredServer.sessions[7], v, []float64{1, 2, 3}, true)
 	}
 	select {
 	case <-restoredServer.Done():

@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"io"
 	"net"
+
+	"github.com/asyncfl/asyncfilter/internal/vecmath"
 )
 
 // clientFrame is one decoded client->server message, codec-independent.
@@ -15,10 +17,26 @@ type clientFrame struct {
 	hello     *Hello
 	heartbeat bool
 	// hasUpdate distinguishes "update present" from an empty envelope;
-	// baseVersion and delta are only meaningful when it is set.
+	// baseVersion, delta and finite are only meaningful when it is set.
 	hasUpdate   bool
 	baseVersion int
 	delta       []float64
+	// finite reports that delta holds no NaN or Inf; the wire screens
+	// while it decodes and admission drops an update that fails.
+	finite bool
+}
+
+// gobFrame converts a decoded gob client message, screening the update's
+// delta with one AllFinite pass.
+func gobFrame(msg *ClientMsg) clientFrame {
+	frame := clientFrame{hello: msg.Hello, heartbeat: msg.Heartbeat}
+	if msg.Update != nil {
+		frame.hasUpdate = true
+		frame.baseVersion = msg.Update.BaseVersion
+		frame.delta = msg.Update.Delta
+		frame.finite = vecmath.AllFinite(msg.Update.Delta)
+	}
+	return frame
 }
 
 // serverWire abstracts the server side of one client connection over the
@@ -64,13 +82,7 @@ func (w *gobServerWire) readMsg() (clientFrame, error) {
 	if err := w.dec.Decode(&msg); err != nil {
 		return clientFrame{}, err
 	}
-	frame := clientFrame{hello: msg.Hello, heartbeat: msg.Heartbeat}
-	if msg.Update != nil {
-		frame.hasUpdate = true
-		frame.baseVersion = msg.Update.BaseVersion
-		frame.delta = msg.Update.Delta
-	}
-	return frame, nil
+	return gobFrame(&msg), nil
 }
 
 func (w *gobServerWire) writeMsg(msg *ServerMsg) error {
@@ -105,13 +117,7 @@ func (w *binServerWire) readMsg() (clientFrame, error) {
 		if err := gobFromFrame(payload, &msg); err != nil {
 			return clientFrame{}, err
 		}
-		frame := clientFrame{hello: msg.Hello, heartbeat: msg.Heartbeat}
-		if msg.Update != nil {
-			frame.hasUpdate = true
-			frame.baseVersion = msg.Update.BaseVersion
-			frame.delta = msg.Update.Delta
-		}
-		return frame, nil
+		return gobFrame(&msg), nil
 	case frameHeartbeat:
 		if len(payload) != 0 {
 			return clientFrame{}, badFrame(kind, "trailing bytes")
@@ -125,12 +131,12 @@ func (w *binServerWire) readMsg() (clientFrame, error) {
 			return clientFrame{}, badFrame(kind, "short or misaligned payload")
 		}
 		delta := w.srv.getDeltaVec(dim)
-		cur.f64sInto(delta)
+		finite := cur.f64sInto(delta)
 		if err := cur.done(kind); err != nil {
 			w.srv.arena.PutVec(delta)
 			return clientFrame{}, err
 		}
-		return clientFrame{hasUpdate: true, baseVersion: base, delta: delta}, nil
+		return clientFrame{hasUpdate: true, baseVersion: base, delta: delta, finite: finite}, nil
 	default:
 		return clientFrame{}, badFrame(kind, "unknown kind in client->server direction")
 	}

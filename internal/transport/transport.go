@@ -419,7 +419,7 @@ type ServerStats struct {
 	// DroppedStale counts updates discarded for staleness.
 	DroppedStale int `metric:"afl_dropped_stale_total"`
 	// DroppedMalformed counts updates discarded for a dimension mismatch
-	// with the global model.
+	// with the global model or a NaN or Inf in the delta.
 	DroppedMalformed int `metric:"afl_dropped_malformed_total"`
 	// DroppedOversize counts client messages rejected by the
 	// MaxMessageBytes guard (the connection is closed).
@@ -713,7 +713,7 @@ func (s *Server) handle(conn net.Conn) {
 		if !msg.hasUpdate {
 			continue
 		}
-		verdict := s.receiveUpdate(sess, msg.baseVersion, msg.delta)
+		verdict := s.receiveUpdate(sess, msg.baseVersion, msg.delta, msg.finite)
 		if verdict.goodbye {
 			s.farewell(conn, wire)
 			return

@@ -239,7 +239,7 @@ func TestServerDropsDimensionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := &clientSession{id: 1, numSamples: 10}
-	server.receiveUpdate(sess, 0, []float64{1})
+	server.receiveUpdate(sess, 0, []float64{1}, true)
 	if server.Version() != 0 {
 		t.Error("mismatched update triggered aggregation")
 	}
@@ -251,7 +251,7 @@ func TestServerDropsDimensionMismatch(t *testing.T) {
 		t.Errorf("UpdatesReceived = %d, want 1", stats.UpdatesReceived)
 	}
 	// A well-formed update still aggregates.
-	server.receiveUpdate(sess, 0, []float64{1, 1, 1})
+	server.receiveUpdate(sess, 0, []float64{1, 1, 1}, true)
 	if server.Version() != 1 {
 		t.Error("well-formed update did not aggregate")
 	}

@@ -50,7 +50,7 @@ func TestWatchdogFiresWithTinyRoundTimeout(t *testing.T) {
 		RoundTimeout:    time.Millisecond,
 	})
 	sess := &clientSession{id: 1, numSamples: 1}
-	if v := server.receiveUpdate(sess, 0, []float64{1, 1}); v.nack != 0 || v.goodbye {
+	if v := server.receiveUpdate(sess, 0, []float64{1, 1}, true); v.nack != 0 || v.goodbye {
 		t.Fatalf("update refused: %+v", v)
 	}
 	select {
@@ -82,7 +82,7 @@ func TestWatchdogDisabledWithZeroRoundTimeout(t *testing.T) {
 		Rounds:          1,
 	})
 	sess := &clientSession{id: 1, numSamples: 1}
-	if v := server.receiveUpdate(sess, 0, []float64{1, 1}); v.nack != 0 || v.goodbye {
+	if v := server.receiveUpdate(sess, 0, []float64{1, 1}, true); v.nack != 0 || v.goodbye {
 		t.Fatalf("update refused: %+v", v)
 	}
 	// Give a hypothetical (buggy) watchdog several minTick periods to

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/asyncfl/asyncfilter/internal/fl"
+	"github.com/asyncfl/asyncfilter/internal/vecmath"
 )
 
 // This file implements the binary wire codec of DESIGN.md §14: a
@@ -340,22 +341,34 @@ func (c *binCursor) str() string {
 }
 
 // f64sInto fills dst bit-exactly from the payload, four floats per step
-// through a sliding window like appendF64s.
-func (c *binCursor) f64sInto(dst []float64) {
+// through a sliding window like appendF64s, and reports whether every
+// value is finite. The screen rides the copy loop: x - x is +0 for a
+// finite x and NaN for NaN and ±Inf, so the four sums stay zero exactly
+// when the slab is finite (four, so no add waits on the one before it).
+func (c *binCursor) f64sInto(dst []float64) bool {
 	p := c.need(8 * len(dst))
 	if p == nil {
-		return
+		return true
 	}
+	var s0, s1, s2, s3 float64
 	for len(dst) >= 4 && len(p) >= 32 {
-		dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(p[0:8]))
-		dst[1] = math.Float64frombits(binary.LittleEndian.Uint64(p[8:16]))
-		dst[2] = math.Float64frombits(binary.LittleEndian.Uint64(p[16:24]))
-		dst[3] = math.Float64frombits(binary.LittleEndian.Uint64(p[24:32]))
+		x0 := math.Float64frombits(binary.LittleEndian.Uint64(p[0:8]))
+		x1 := math.Float64frombits(binary.LittleEndian.Uint64(p[8:16]))
+		x2 := math.Float64frombits(binary.LittleEndian.Uint64(p[16:24]))
+		x3 := math.Float64frombits(binary.LittleEndian.Uint64(p[24:32]))
+		dst[0], dst[1], dst[2], dst[3] = x0, x1, x2, x3
+		s0 += x0 - x0
+		s1 += x1 - x1
+		s2 += x2 - x2
+		s3 += x3 - x3
 		dst, p = dst[4:], p[32:]
 	}
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		x := math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		dst[i] = x
+		s0 += x - x
 	}
+	return vecmath.IsZero(s0 + s1 + s2 + s3)
 }
 
 // restDim interprets every remaining payload byte as a float64 slab and

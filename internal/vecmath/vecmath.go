@@ -13,9 +13,11 @@
 // Arithmetic kernels follow IEEE 754: a NaN or Inf in the input
 // propagates into sums, norms, distances and means rather than being
 // masked (Sum of +Inf and -Inf is NaN, and so on). Nothing in this
-// package screens its inputs — updates arriving off the wire are
-// validated once at admission with AllFinite, after which the pipeline
-// assumes finite data. Order-comparison helpers inherit IEEE comparison
+// package screens its inputs. Updates arriving off the wire are screened
+// once at admission, after which the pipeline assumes finite data: the
+// transport server's binary decoder checks while it copies the slab, its
+// gob path calls AllFinite, and the topology root calls AllFinite on each
+// update of an edge batch. A non-finite update is dropped as malformed. Order-comparison helpers inherit IEEE comparison
 // semantics, where every comparison against NaN is false; the resulting
 // per-function behavior is documented on ArgMin, ArgMax and EqualApprox.
 package vecmath
@@ -388,13 +390,21 @@ func Max(v []float64) float64 {
 }
 
 // AllFinite reports whether every element of v is finite (no NaN or Inf).
+// It runs without branches: x - x is +0 for a finite x and NaN for NaN
+// and ±Inf, so the four sums stay zero exactly when v is finite (four, so
+// no add waits on the one before it).
 func AllFinite(v []float64) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
+	var s0, s1, s2, s3 float64
+	for ; len(v) >= 4; v = v[4:] {
+		s0 += v[0] - v[0]
+		s1 += v[1] - v[1]
+		s2 += v[2] - v[2]
+		s3 += v[3] - v[3]
 	}
-	return true
+	for _, x := range v {
+		s0 += x - x
+	}
+	return IsZero(s0 + s1 + s2 + s3)
 }
 
 // IsZero reports whether x is exactly zero. It exists so that the
